@@ -24,9 +24,9 @@ import numpy as np
 from . import __version__, measures, oracle, separability, slocc, verify
 from .errors import SizeGuardError, ValidationError
 from .oracle import DEFAULT_SIZE_GUARD
+from .separability import DEFAULT_SEP_TOL
 from .serialize import canonical_dumps, dumps_state, loads_state
 from .states import PureSCState, new_sc_state, random_sc_state
-from .verify import RELATIVE_ENTROPY_TOL_FLOOR
 
 _LOG_BASES = {"2": 2.0, "e": float(np.e), "10": 10.0}
 
@@ -68,34 +68,13 @@ def _load_state_file(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _coeff_rank_one(state) -> bool:
-    vals = np.linalg.eigvalsh(state.a)
-    return int((vals > measures.RANK_TOL).sum()) == 1
-
-
 def _slocc_summary(state):
     """SLOCC classification for rank-one (pure) inputs, else None."""
-    if not _coeff_rank_one(state):
+    if measures._coeff_rank(state.a) != 1:
         return None
     _, vecs = np.linalg.eigh(state.a)
     cls = slocc.classify_pure(PureSCState(state.parties, vecs[:, -1]))
     return {"kind": cls.kind.value, "t": cls.t}
-
-
-def _oracle_residuals(state, split: int, guard: int):
-    """Per-check dense-recompute residuals, as in the oracle-verify suite."""
-    rng = np.random.default_rng(0)
-    w_res, w_sep = verify.witness_residuals(state, rng, 100, size_guard=guard)
-    residuals = {
-        "pt_spectrum": verify.pt_spectrum_residual(state, size_guard=guard),
-        "realignment": verify.realignment_residual(state, size_guard=guard),
-        "negativity": verify.negativity_residual(state, size_guard=guard),
-        "relative_entropy": verify.relative_entropy_residual(state, size_guard=guard),
-        "state_spectrum": verify.state_spectrum_residual(state, size_guard=guard),
-        "witness": w_res,
-        "bloch": verify.bloch_residuals(state, [split], size_guard=guard),
-    }
-    return residuals, w_sep
 
 
 def cmd_analyze(args) -> int:
@@ -115,7 +94,7 @@ def cmd_analyze(args) -> int:
     report = {
         "k": state.parties,
         "N": state.dim,
-        "separable": bool(neg <= tol),
+        "separable": separability.is_fully_separable(state, tol),
         "negativity": neg,
         "realignment_norm": realn,
         "pt_spectrum": {
@@ -138,21 +117,18 @@ def cmd_analyze(args) -> int:
         "witness": {"pair_count": len(w.source_pairs), "expectation": w_expect},
         "oracle_checked": bool(args.oracle),
         "oracle_max_residual": None,
-        "tol": tol,
     }
 
     oracle_failed = False
     if args.oracle:
-        residuals, w_sep = _oracle_residuals(state, args.split, guard)
-        report["oracle_max_residual"] = max(residuals.values())
-        for name, value in residuals.items():
-            allowed = tol
-            if name == "relative_entropy":
-                allowed = max(tol, RELATIVE_ENTROPY_TOL_FLOOR)
-            if value > allowed:
-                oracle_failed = True
-        if w_sep < -tol:
-            oracle_failed = True
+        residuals, w_sep = verify.state_residuals(
+            state, np.random.default_rng(0), 100, [args.split], tol=tol, size_guard=guard
+        )
+        worst = max(residuals.values())
+        report["oracle_max_residual"] = worst if np.isfinite(worst) else None
+        report["oracle_checks"] = verify.check_entries(residuals, w_sep, tol)
+        oracle_failed = not all(e["pass"] for e in report["oracle_checks"].values())
+    report["tol"] = tol
 
     _emit(canonical_dumps(report), args.output)
     return 3 if oracle_failed else 0
@@ -254,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-9,
+        default=DEFAULT_SEP_TOL,
         help="tolerance for separability verdicts and oracle residuals",
     )
     p.add_argument("--output", help="write the report here instead of stdout")
@@ -286,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
-        "--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)"
+        "--tol",
+        type=float,
+        default=DEFAULT_SEP_TOL,
+        help="residual tolerance (default 1e-9)",
     )
     p.set_defaults(func=cmd_oracle_verify)
 

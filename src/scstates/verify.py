@@ -3,8 +3,9 @@
 Each residual function recomputes one closed-form quantity by brute force
 on the explicit N^k x N^k matrices (dense construction + the internal
 Jacobi eigensolver, never the fast path) and returns the absolute
-disagreement.  ``run_suite`` aggregates them over random states into the
-JSON summary used by the command-line ``oracle-verify``.
+disagreement.  ``state_residuals`` runs them all on one state (``analyze
+--oracle``), ``run_suite`` over random states (``oracle-verify``), and
+``check_entries`` applies the one tolerance rule to either result.
 """
 
 import numpy as np
@@ -144,7 +145,7 @@ def bloch_residuals(
     state: SCState,
     splits=None,
     *,
-    tol: float = 1e-9,
+    tol: float = separability.DEFAULT_SEP_TOL,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> float:
     """Bloch-decomposition structure checks across bipartitions.
@@ -205,7 +206,7 @@ def slocc_residual(psi) -> float:
 def separability_votes(
     state: SCState,
     *,
-    tol: float = 1e-9,
+    tol: float = separability.DEFAULT_SEP_TOL,
     splits=None,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> dict:
@@ -226,12 +227,73 @@ def separability_votes(
     }
 
 
+def state_residuals(
+    state: SCState,
+    rng,
+    separable_samples: int = 500,
+    splits=None,
+    *,
+    tol: float = separability.DEFAULT_SEP_TOL,
+    size_guard: int = DEFAULT_SIZE_GUARD,
+):
+    """(residual per check, min Tr[W sigma]) for every oracle check on one state.
+
+    The residual functions are looked up by their module-global names on
+    each call, so patching one of them in this module reaches every caller.
+    ``rng`` is drawn from only by the witness's separable samples.
+    """
+    w_res, w_sep = witness_residuals(state, rng, separable_samples, size_guard=size_guard)
+    residuals = {
+        "pt_spectrum": pt_spectrum_residual(state, size_guard=size_guard),
+        "realignment": realignment_residual(state, size_guard=size_guard),
+        "negativity": negativity_residual(state, size_guard=size_guard),
+        "relative_entropy": relative_entropy_residual(state, size_guard=size_guard),
+        "state_spectrum": state_spectrum_residual(state, size_guard=size_guard),
+        "witness": w_res,
+        "bloch": bloch_residuals(state, splits, tol=tol, size_guard=size_guard),
+    }
+    return residuals, w_sep
+
+
+def _allowed_residual(name: str, tol: float) -> float:
+    """The largest residual check ``name`` passes with at tolerance ``tol``."""
+    if name == "relative_entropy":
+        return max(tol, RELATIVE_ENTROPY_TOL_FLOOR)
+    return tol
+
+
+def _finite_or_none(x):
+    x = float(x)
+    return x if np.isfinite(x) else None
+
+
+def check_entries(worst: dict, worst_separable: float, tol: float) -> dict:
+    """Report entries {max_residual, tol, pass} for each check in ``worst``.
+
+    A non-finite residual (verdict mismatch, support leak) is null and fails.
+    The witness entry also needs its worst separable expectation >= -tol.
+    """
+    checks = {}
+    for name, value in worst.items():
+        allowed = _allowed_residual(name, tol)
+        entry = {
+            "max_residual": _finite_or_none(value),
+            "tol": allowed,
+            "pass": bool(value <= allowed),
+        }
+        if name == "witness":
+            entry["min_separable_expectation"] = _finite_or_none(worst_separable)
+            entry["pass"] = bool(entry["pass"] and worst_separable >= -tol)
+        checks[name] = entry
+    return checks
+
+
 def run_suite(
     parties: int,
     dim: int,
     samples: int = 50,
     seed=0,
-    tol: float = 1e-9,
+    tol: float = separability.DEFAULT_SEP_TOL,
     *,
     size_guard: int = DEFAULT_SIZE_GUARD,
     separable_samples: int = 500,
@@ -240,71 +302,28 @@ def run_suite(
 
     Runs every residual check on ``samples`` Ginibre states (plus the
     SLOCC filter check on as many random pure states) and returns a
-    JSON-able summary with per-check worst residuals and verdicts.  The
-    relative-entropy comparison passes at max(tol, 1e-8); everything
-    else at ``tol``.
+    JSON-able summary with per-check worst residuals and verdicts.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     oracle.check_size_guard(dim**parties, size_guard)
     rng = np.random.default_rng(seed)
-    names = [
-        "pt_spectrum",
-        "realignment",
-        "negativity",
-        "relative_entropy",
-        "state_spectrum",
-        "witness",
-        "bloch",
-        "slocc",
-    ]
-    worst = {name: 0.0 for name in names}
+    worst = {}
     worst_separable = np.inf
 
     for _ in range(samples):
         state = random_sc_state(parties, dim, rng)
-        worst["pt_spectrum"] = max(
-            worst["pt_spectrum"], pt_spectrum_residual(state, size_guard=size_guard)
+        residuals, w_sep = state_residuals(
+            state, rng, separable_samples, tol=tol, size_guard=size_guard
         )
-        worst["realignment"] = max(
-            worst["realignment"], realignment_residual(state, size_guard=size_guard)
-        )
-        worst["negativity"] = max(
-            worst["negativity"], negativity_residual(state, size_guard=size_guard)
-        )
-        worst["relative_entropy"] = max(
-            worst["relative_entropy"],
-            relative_entropy_residual(state, size_guard=size_guard),
-        )
-        worst["state_spectrum"] = max(
-            worst["state_spectrum"],
-            state_spectrum_residual(state, size_guard=size_guard),
-        )
-        w_res, w_sep = witness_residuals(
-            state, rng, separable_samples, size_guard=size_guard
-        )
-        worst["witness"] = max(worst["witness"], w_res)
         worst_separable = min(worst_separable, w_sep)
-        worst["bloch"] = max(
-            worst["bloch"], bloch_residuals(state, tol=tol, size_guard=size_guard)
-        )
         support = int(rng.integers(2, dim + 1))
         psi = random_pure_sc_state(parties, dim, rng, support_size=support)
-        worst["slocc"] = max(worst["slocc"], slocc_residual(psi))
+        residuals["slocc"] = slocc_residual(psi)
+        for name, value in residuals.items():
+            worst[name] = max(worst.get(name, 0.0), value)
 
-    checks = {}
-    for name in names:
-        check_tol = tol
-        if name == "relative_entropy":
-            check_tol = max(tol, RELATIVE_ENTROPY_TOL_FLOOR)
-        entry = {
-            "max_residual": float(worst[name]),
-            "tol": check_tol,
-            "pass": bool(worst[name] <= check_tol),
-        }
-        if name == "witness":
-            entry["min_separable_expectation"] = float(worst_separable)
-            entry["pass"] = bool(entry["pass"] and worst_separable >= -tol)
-        checks[name] = entry
-
+    checks = check_entries(worst, worst_separable, tol)
     return {
         "k": parties,
         "N": dim,

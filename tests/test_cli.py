@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from scstates import cli, verify
+from scstates import cli, is_fully_separable, verify
 from scstates.serialize import canonical_dumps, dumps_state, loads_state
 from scstates.states import new_sc_state
 
@@ -19,6 +19,15 @@ def run_cli(capsys, *argv):
 def write_diag_state(tmp_path, name="diag.json"):
     path = tmp_path / name
     path.write_text(dumps_state(new_sc_state(2, 3, np.diag([0.2, 0.3, 0.5]))))
+    return path
+
+
+def write_boundary_state(tmp_path):
+    """k=3, N=3 with a01 = a12 = 0.8e-9: separable at the default tol, by a hair."""
+    a = np.diag([0.4, 0.3, 0.3]).astype(complex)
+    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 0.8e-9
+    path = tmp_path / "boundary.json"
+    path.write_text(dumps_state(new_sc_state(3, 3, a)))
     return path
 
 
@@ -101,6 +110,36 @@ def test_analyze_oracle_mismatch_exits_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     rep = json.loads(stdout)  # the report is still emitted
     assert rep["oracle_max_residual"] == 1.0
+    assert rep["oracle_checks"]["negativity"]["pass"] is False
+
+
+def test_analyze_oracle_non_finite_residual_exits_3(capsys, tmp_path, monkeypatch):
+    path = write_diag_state(tmp_path)
+    monkeypatch.setattr(verify, "bloch_residuals", lambda *a, **k: float("inf"))
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "--oracle")
+    assert code == 3
+    rep = json.loads(stdout)
+    assert rep["oracle_max_residual"] is None
+    bloch = rep["oracle_checks"]["bloch"]
+    assert bloch == {"max_residual": None, "tol": 1e-9, "pass": False}
+    assert rep["oracle_checks"]["negativity"]["pass"] is True
+
+
+def test_analyze_separable_matches_library_at_boundary(capsys, tmp_path):
+    path = write_boundary_state(tmp_path)
+    assert is_fully_separable(loads_state(path.read_text()))
+    code, stdout, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(stdout)["separable"] is True
+
+
+def test_analyze_oracle_bloch_check_uses_tol(capsys, tmp_path):
+    path = write_boundary_state(tmp_path)
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "--oracle", "--tol", "1e-6")
+    assert code == 0
+    bloch = json.loads(stdout)["oracle_checks"]["bloch"]
+    assert bloch["pass"] is True and bloch["tol"] == 1e-6
+    assert bloch["max_residual"] <= 1e-12
 
 
 def test_analyze_roof_tightens_upper_bound(capsys, tmp_path):
@@ -225,6 +264,27 @@ def test_oracle_verify_mismatch_exits_3(capsys, monkeypatch):
     summary = json.loads(stdout)
     assert summary["pass"] is False
     assert summary["checks"]["realignment"]["pass"] is False
+
+
+def test_oracle_verify_non_finite_residual_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(
+        verify, "relative_entropy_residual", lambda *a, **k: float("inf")
+    )
+    code, stdout, _ = run_cli(
+        capsys, "oracle-verify", "--k", "2", "--N", "2", "--samples", "1"
+    )
+    assert code == 3
+    checks = json.loads(stdout)["checks"]
+    rel = checks["relative_entropy"]
+    assert rel == {"max_residual": None, "tol": 1e-8, "pass": False}
+    assert checks["negativity"]["pass"] is True
+
+
+def test_oracle_verify_bad_samples_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "oracle-verify", "--k", "2", "--N", "2", "--samples", "0"
+    )
+    assert code == 2 and "samples" in err
 
 
 def test_examples_tokens(capsys, tmp_path):
