@@ -25,6 +25,15 @@ RANK_TOL = 1e-12
 #: entropy sums (0 * log 0 = 0 convention).
 LOG_CLAMP = 1e-15
 
+#: Smoothing widths of the roof optimizer's stages, the last one unsmoothed.
+ROOF_SMOOTHING = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 0.0)
+
+#: The roof optimizer's cap on steps per smoothing stage.
+ROOF_MAX_STEPS = 400
+
+#: Gradient norm at which a roof start counts as converged.
+ROOF_GRAD_TOL = 1e-9
+
 
 def negativity(state: SCState) -> float:
     """Negativity: half the absolute sum of off-diagonal coefficients.
@@ -90,6 +99,7 @@ class ConcurrenceReport:
     exact: Optional[float]
     method: ConcurrenceMethod
     roof_trace: Optional[tuple] = None
+    roof_converged: Optional[bool] = None
 
 
 class RoofResult(NamedTuple):
@@ -106,39 +116,51 @@ def _coeff_rank(a: np.ndarray) -> int:
 def roof_optimizer(
     state: SCState,
     restarts: int = 16,
-    max_iter: int = 2000,
     seed=None,
     *,
     multipartite: bool = False,
 ) -> RoofResult:
     """Minimize the average pure concurrence over ensemble decompositions.
 
-    Every decomposition a = sum_i c_i c_i^dagger is parametrized through a
-    left isometry mixing the spectral vectors: with B the rank x N matrix
-    of sqrt(eigenvalue)-scaled eigenvectors, the rows of C = U B (U any
-    L x rank isometry) form a valid unnormalized ensemble, and every
-    ensemble of size L arises this way.  The average concurrence is then
+    With B the rank x N matrix of sqrt(eigenvalue)-scaled eigenvectors,
+    the rows of C = U B, for U any L x rank isometry, are an unnormalized
+    ensemble of a, and every ensemble of size L arises this way.  The
+    average concurrence is f(C) = sum_i w sqrt(S_i), with S_i =
+    sum_{m<n} |C_im C_in|^2, w = 2 for the bipartite objective and
+    w = sqrt(2k) for the k-party one.
 
-        f(C) = sum_i w * sqrt(S_i),   S_i = sum_{m<n} |C_im C_in|^2,
+    Minimization is conjugate-gradient descent over the ensembles of size
+    L = 2 * rank, all starts batched in one (starts, L, N) tensor.  A step
+    mixes rows by the Cayley transform C <- (I + tX/2)^-1 (I - tX/2) C,
+    which is exactly unitary (Wen & Yin, Math. Program. 142, 397 (2013)).
+    The gradient generator is K = A - A^dagger, with A = G C^dagger and G
+    the Euclidean gradient (w / sqrt(S_i)) (P_i - p_im) C_im (p = |C|^2,
+    P_i its row sums; 0 where S_i = 0); K U is the Riemannian gradient of
+    U under the canonical metric (Edelman, Arias & Smith, SIAM J. Matrix
+    Anal. Appl. 20, 303 (1998)).  X is D K D, D = diag(sqrt(S_i) / P_i),
+    which slows rows near a product state (a kink of sqrt that plain
+    gradient steps zig-zag across), plus a Polak-Ribiere share of the
+    previous X while that stays a descent direction.  Each start's step t
+    halves when a step fails the Armijo test and doubles when it passes;
+    once f no longer resolves the decrease, a step must lower the
+    gradient instead.  f is smoothed to
+    sum_i w (sqrt(S_i + (delta P_i)^2) - delta P_i), within w * delta of
+    f and free of kinks, with delta stepping through ``ROOF_SMOOTHING``
+    down to 0.  A stage ends when each
+    start's row-weighted gradient norm is at most max(delta,
+    ``ROOF_GRAD_TOL``), or after ``ROOF_MAX_STEPS`` steps.  ``restarts``
+    starts run for each ensemble size from rank to 2 * rank (zero rows
+    pad the smaller ones and stay zero): the spectral ensemble, then
+    QR-orthonormalized Ginibre draws.
 
-    with w = 2 for the bipartite objective and w = sqrt(2k) for the
-    k-party one (the probabilities cancel into the unnormalized rows).
-
-    Minimization is derivative-free: adaptive-step coordinate descent over
-    Givens-style directions (plane rotation or phase rotation of a row
-    pair of C — both preserve the isometry, hence the decomposition),
-    ensemble sizes swept from rank to 2*rank with ``restarts`` starts
-    each, combined by taking the minimum.  Each start is capped at
-    ``max_iter`` coordinate attempts and declared converged after 50
-    consecutive attempts without an improvement of at least 1e-10.
-
-    Returns the best value, a trace of (attempt index, value) global
-    improvements, and whether every start converged before its cap.
-    Non-convergence is not an error; the best value found still upper
-    bounds the true convex roof.
+    Returns the best value, a trace of (iteration, best value)
+    improvements of f, and whether every start ended the last stage
+    below ``ROOF_GRAD_TOL``.  Non-convergence is not an error; the best
+    value found still upper bounds the true convex roof.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     a = state.a
-    n = state.dim
     weight = np.sqrt(2.0 * state.parties) if multipartite else 2.0
     vals, vecs = np.linalg.eigh(a)
     keep = vals > RANK_TOL
@@ -146,95 +168,77 @@ def roof_optimizer(
     if rank == 0:
         raise ValueError("coefficient matrix has no spectral weight")
     b = (vecs[:, keep] * np.sqrt(vals[keep])).T  # rank x N, rows sum back to a
+    size = 2 * rank
+    eye = np.eye(size)
 
-    def row_terms(rows: np.ndarray) -> np.ndarray:
-        p2 = np.abs(rows) ** 2
-        s = 0.5 * (p2.sum(axis=1) ** 2 - (p2**2).sum(axis=1))
-        return weight * np.sqrt(np.maximum(s, 0.0))
+    def descent(c, delta):
+        """Smoothed f, generators K and D K D, and the rate <K, D K D> / 2."""
+        p = np.abs(c) ** 2
+        rows = p.sum(axis=-1)
+        s = np.maximum(0.5 * (rows**2 - (p**2).sum(axis=-1)), 0.0)
+        root = np.sqrt(s + (delta * rows) ** 2)
+        scale = np.divide(weight, root, out=np.zeros_like(root), where=root > 0)
+        radial = scale * (1.0 + 2.0 * delta**2) * rows - 2.0 * weight * delta
+        grad = (radial[..., None] - scale[..., None] * p) * c
+        k = grad @ c.conj().swapaxes(-1, -2)
+        k = k - k.conj().swapaxes(-1, -2)
+        pre = np.divide(root, rows, out=np.zeros_like(root), where=rows > 0)
+        gen = pre[..., :, None] * k * pre[..., None, :]
+        return weight * (root - delta * rows).sum(axis=-1), k, gen, inner(k, gen)
 
+    def inner(x, y):
+        return 0.5 * (x.conj() * y).real.sum(axis=(-2, -1))
+
+    starts = restarts * (rank + 1)
     rng = np.random.default_rng(seed)
-    best = np.inf
-    trace = []
-    attempts = 0
-    all_converged = True
+    g = rng.standard_normal((starts - 1, size, rank)) + 1j * rng.standard_normal(
+        (starts - 1, size, rank)
+    )
+    kept = rank + np.arange(1, starts) % (rank + 1)
+    g[np.arange(size) >= kept[:, None]] = 0.0
+    c = np.concatenate([np.eye(size, rank)[None], np.linalg.qr(g)[0]]) @ b
+    it = 0
+    best = float(descent(c, 0.0)[0].min())
+    trace = [(0, best)]
 
-    for size in range(rank, 2 * rank + 1):
-        for start in range(restarts):
-            if start == 0:
-                ct = np.vstack([b, np.zeros((size - rank, n), dtype=complex)])
-            else:
-                g = rng.standard_normal((size, rank)) + 1j * rng.standard_normal(
-                    (size, rank)
-                )
-                q, _ = np.linalg.qr(g)
-                ct = q @ b
-            terms = row_terms(ct)
-            f = float(terms.sum())
-            if f < best - 1e-14:
-                best = f
-                trace.append((attempts, f))
+    for delta in ROOF_SMOOTHING:
+        f, k, gen, rate = descent(c, delta)
+        d = gen.copy()
+        step = np.ones(starts)
+        for n in range(ROOF_MAX_STEPS + 1):
+            if delta == 0.0 and f.min() < best - 1e-14:
+                best = float(f.min())
+                trace.append((it, best))
+            (act,) = np.nonzero(rate > max(delta, ROOF_GRAD_TOL) ** 2)
+            if n == ROOF_MAX_STEPS or not act.size:
+                break
+            # conjugate direction while f resolves the decrease, else the gradient
+            t, fa, ra = step[act], f[act], rate[act]
+            slope = inner(k[act], d[act])
+            reset = (slope <= 0) | (t * ra <= 1e-10 * fa)
+            da = np.where(reset[:, None, None], gen[act], d[act])
+            slope = np.where(reset, ra, slope)
+            h = 0.5 * t[:, None, None] * da
+            cand = np.linalg.solve(eye + h, (eye - h) @ c[act])  # Cayley: unitary
+            f_new, k_new, gen_new, rate_new = descent(cand, delta)
+            # Armijo while f resolves the decrease; below that, a smaller gradient
+            armijo = f_new <= fa - 1e-4 * t * slope
+            settled = (f_new <= fa + 1e-14 * fa) & (rate_new < ra)
+            ok = np.where(t * slope > 1e-10 * fa, armijo, settled)
+            beta = np.maximum(inner(k_new, gen_new - gen[act]) / ra, 0.0)
+            i = act[ok]
+            c[i], f[i], k[i] = cand[ok], f_new[ok], k_new[ok]
+            gen[i], rate[i] = gen_new[ok], rate_new[ok]
+            d[i] = gen_new[ok] + beta[ok, None, None] * da[ok]
+            step[act] = np.where(ok, 2.0 * t, 0.5 * t)
+            it += 1
 
-            directions = [
-                (i, j, kind)
-                for i in range(size)
-                for j in range(i + 1, size)
-                for kind in (0, 1)
-            ]
-            steps = {d: 0.3 for d in directions}
-            stall = 0
-            local_attempts = 0
-            while directions and local_attempts < max_iter and stall < 50:
-                for direction in directions:
-                    if local_attempts >= max_iter or stall >= 50:
-                        break
-                    local_attempts += 1
-                    attempts += 1
-                    i, j, kind = direction
-                    h = steps[direction]
-                    c, s = np.cos(h), np.sin(h)
-                    ri, rj = ct[i], ct[j]
-                    old = terms[i] + terms[j]
-                    moved = None
-                    for sgn in (s, -s):
-                        if kind == 0:
-                            ni = c * ri - sgn * rj
-                            nj = sgn * ri + c * rj
-                        else:
-                            ni = c * ri - 1j * sgn * rj
-                            nj = -1j * sgn * ri + c * rj
-                        cand = row_terms(np.vstack([ni, nj]))
-                        df = float(cand.sum()) - old
-                        if moved is None or df < moved[0]:
-                            moved = (df, ni, nj, cand)
-                    df, ni, nj, cand = moved
-                    if f + df < f - 1e-14:
-                        ct[i], ct[j] = ni, nj
-                        terms[i], terms[j] = cand[0], cand[1]
-                        f += df
-                        steps[direction] = min(h * 1.5, 1.5)
-                        stall = 0 if -df >= 1e-10 else stall + 1
-                        if f < best - 1e-14:
-                            best = f
-                            trace.append((attempts, f))
-                    else:
-                        steps[direction] = max(h * 0.5, 1e-8)
-                        stall += 1
-            if directions and stall < 50:
-                all_converged = False
-
-            # guard against accumulated drift: re-evaluate exactly and
-            # confirm the rows still reconstruct the coefficient matrix
-            resid = np.abs(ct.T @ ct.conj() - a).max()
-            if resid > 1e-9:
-                raise RuntimeError(
-                    f"ensemble decomposition drifted (residual {resid:.3e})"
-                )
-            f = float(row_terms(ct).sum())
-            if f < best:
-                best = f
-                trace.append((attempts, f))
-
-    return RoofResult(value=float(best), trace=tuple(trace), converged=all_converged)
+    # guard against drift: the rows must still reconstruct the coefficients
+    resid = np.abs(c.swapaxes(-1, -2) @ c.conj() - a).max()
+    if resid > 1e-9:
+        raise RuntimeError(f"ensemble decomposition drifted (residual {resid:.3e})")
+    converged = bool((rate <= ROOF_GRAD_TOL**2).all())
+    return RoofResult(value=best, trace=tuple(trace), converged=converged)
 
 
 def concurrence(
@@ -242,7 +246,6 @@ def concurrence(
     *,
     roof: bool = False,
     restarts: int = 16,
-    max_iter: int = 2000,
     seed=None,
 ) -> ConcurrenceReport:
     """Concurrence report: closed form when available, bounds otherwise.
@@ -253,6 +256,8 @@ def concurrence(
     2|a_01| for N = 2 (the lower bound is attained there: the moduli
     matrix [[a_00, |a_01|], [|a_01|, a_11]] is doubly nonnegative, so a
     shared-relative-phase rank-one decomposition achieving it exists).
+    With ``roof``, ``roof_optimizer(state, restarts, seed)`` also runs,
+    and the report carries its trace and ``converged`` flag.
     """
     a = state.a
     n = state.dim
@@ -260,6 +265,7 @@ def concurrence(
     lower = float(2.0 * np.sqrt(2.0) / np.sqrt(n * (n - 1)) * neg)
     upper = float(np.sqrt(2.0 * (1.0 - 1.0 / n)))
     roof_trace = None
+    roof_converged = None
 
     exact = None
     if _coeff_rank(a) == 1:
@@ -275,16 +281,22 @@ def concurrence(
         method = ConcurrenceMethod.BOUNDS_ONLY
 
     if roof:
-        result = roof_optimizer(state, restarts=restarts, max_iter=max_iter, seed=seed)
+        result = roof_optimizer(state, restarts=restarts, seed=seed)
         upper = min(upper, result.value)
         roof_trace = result.trace
+        roof_converged = result.converged
 
     # the optimizer may land a few ulp below the true value; the exact
     # value and lower bound are valid upper-bound floors, so clamp
     floor = max(lower, exact if exact is not None else 0.0)
     upper = max(upper, floor)
     return ConcurrenceReport(
-        lower=lower, upper=upper, exact=exact, method=method, roof_trace=roof_trace
+        lower=lower,
+        upper=upper,
+        exact=exact,
+        method=method,
+        roof_trace=roof_trace,
+        roof_converged=roof_converged,
     )
 
 

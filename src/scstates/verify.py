@@ -48,11 +48,16 @@ def realignment_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD
 
 
 def negativity_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> float:
-    """Closed-form negativity vs (trace norm of the dense PT - 1)/2."""
+    """Closed-form negativity vs (sum of |dense PT eigenvalues| - 1)/2.
+
+    The PT is Hermitian, so its trace norm is read off its own Jacobi
+    spectrum; ``oracle.trace_norm`` squares the matrix first and would
+    lose eigenvalues below ~3e-6 of the largest.
+    """
     rho = oracle.dense_from_sc(state, size_guard=size_guard)
     dims = [state.dim] * state.parties
-    pt = oracle.partial_transpose(rho, [1], dims)
-    dense = 0.5 * (oracle.trace_norm(pt) - 1.0)
+    vals, _ = oracle.hermitian_eigen(oracle.partial_transpose(rho, [1], dims))
+    dense = 0.5 * (float(np.abs(vals).sum()) - 1.0)
     return abs(dense - measures.negativity(state))
 
 

@@ -108,9 +108,11 @@ def test_concurrence_report_bounds_only_and_roof():
     plain = concurrence(st)
     assert plain.method is ConcurrenceMethod.BOUNDS_ONLY
     assert plain.exact is None and plain.roof_trace is None
+    assert plain.roof_converged is None
     roofed = concurrence(st, roof=True, restarts=4, seed=7)
     assert roofed.method is ConcurrenceMethod.ROOF_OPTIMIZER
     assert roofed.roof_trace is not None
+    assert isinstance(roofed.roof_converged, bool)
     assert plain.lower - 1e-9 <= roofed.upper <= plain.upper + 1e-12
 
 
@@ -133,6 +135,17 @@ def test_roof_optimizer_qubit_hits_closed_form():
         assert target - 1e-9 <= res.value <= target + 1e-4
 
 
+def test_roof_optimizer_ququart_within_bounds():
+    # reference values: the Givens coordinate-descent optimizer this one
+    # replaced, run on the same calls (restarts=16, seed=0)
+    for s, reference in ((1, 0.8131780322089145), (2, 0.6744170366183153)):
+        st = random_sc_state(2, 4, s)
+        rep = concurrence(st)
+        res = roof_optimizer(st, restarts=16, seed=0)
+        assert rep.lower - 1e-9 <= res.value <= rep.upper
+        assert res.value <= reference + 1e-8
+
+
 def test_roof_optimizer_rank_one_immediate():
     st = pure_to_mixed(new_pure_sc_state(2, TILTED))
     res = roof_optimizer(st, restarts=2, seed=0)
@@ -151,6 +164,11 @@ def test_roof_optimizer_seed_determinism():
     r2 = roof_optimizer(st, restarts=3, seed=42)
     assert r1.value == r2.value
     assert r1.trace == r2.trace
+
+
+def test_roof_optimizer_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        roof_optimizer(random_sc_state(2, 3, 204), restarts=0)
 
 
 def test_roof_optimizer_multipartite_weight():

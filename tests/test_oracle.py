@@ -15,6 +15,7 @@ from scstates import (
     new_sc_state,
     pure_to_mixed,
     random_sc_state,
+    verify,
 )
 from scstates.errors import NotHermitianError, NotPSDError
 from scstates.oracle import (
@@ -294,3 +295,10 @@ def test_dense_spectrum_matches_coefficients():
         small = np.linalg.eigvalsh(st.a)
         expected = np.sort(np.concatenate([small, np.zeros(27 - 3)]))
         assert np.abs(vals - expected).max() <= 1e-9
+
+
+def test_negativity_residual_resolves_tolerance_scale_coherences():
+    # a01 = a12 = 0.8e-9 sit far below trace_norm's ~3e-6 relative cutoff
+    a = np.diag([0.4, 0.3, 0.3]).astype(complex)
+    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 0.8e-9
+    assert verify.negativity_residual(new_sc_state(3, 3, a)) <= 1e-12
