@@ -256,8 +256,9 @@ def concurrence(
     2|a_01| for N = 2 (the lower bound is attained there: the moduli
     matrix [[a_00, |a_01|], [|a_01|, a_11]] is doubly nonnegative, so a
     shared-relative-phase rank-one decomposition achieving it exists).
-    With ``roof``, ``roof_optimizer(state, restarts, seed)`` also runs,
-    and the report carries its trace and ``converged`` flag.
+    With ``roof``, the upper bound is tightened: to ``exact`` when it is
+    known (empty trace, converged), otherwise by ``roof_optimizer(state,
+    restarts, seed)``, whose trace and ``converged`` flag the report carries.
     """
     a = state.a
     n = state.dim
@@ -280,7 +281,9 @@ def concurrence(
     else:
         method = ConcurrenceMethod.BOUNDS_ONLY
 
-    if roof:
+    if roof and exact is not None:
+        upper, roof_trace, roof_converged = exact, (), True
+    elif roof:
         result = roof_optimizer(state, restarts=restarts, seed=seed)
         upper = min(upper, result.value)
         roof_trace = result.trace

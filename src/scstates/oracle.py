@@ -102,6 +102,22 @@ def partial_transpose(m: np.ndarray, subset, dims) -> np.ndarray:
     return tensor.transpose(axes).reshape(total, total)
 
 
+def _jacobi_rotation(a_pp: float, a_qq: float, a_pq: complex):
+    """(c, s, phase) of the unitary U = [[c, -s phase], [s conj(phase), c]]
+    for which U [[a_pp, a_pq], [conj(a_pq), a_qq]] U^dag is diagonal.
+
+    ``a_pq`` must be nonzero.
+    """
+    ab = abs(a_pq)
+    tau = (a_qq - a_pp) / (2.0 * ab)
+    if tau == 0.0:
+        t = 1.0
+    else:
+        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c, t * c, a_pq / ab
+
+
 def hermitian_eigen(
     m: np.ndarray,
     tol: float = 1e-10,
@@ -152,18 +168,9 @@ def hermitian_eigen(
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                b = a[p, q]
-                ab = abs(b)
-                if ab == 0.0:
+                if a[p, q] == 0.0:
                     continue
-                phase = b / ab
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * ab)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
+                c, s, phase = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
                 # unitary U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase), U[q,q]=c
                 rp, rq = a[p, :].copy(), a[q, :].copy()
                 a[p, :] = c * rp - s * phase * rq
@@ -210,26 +217,42 @@ def realign(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values, via Jacobi eigenvalues of the Gram matrix.
+    """Sum of singular values, by one-sided (Hestenes) Jacobi rotations.
 
-    Uses the smaller of m m^dag and m^dag m.  Squaring the matrix squares
-    its condition number, so Gram eigenvalues below 1e-11 times the largest
-    are indistinguishable from round-off and are truncated to zero before
-    the square root (exact-zero singular values would otherwise surface as
-    sqrt(dust) ~ 1e-6 noise).  Singular values down to ~3e-6 of the largest
-    are therefore resolved; smaller nonzero ones are reported as 0.
+    Works on the rows of the shorter side: each unitary 2x2 rotation mixes
+    two rows so that they become orthogonal, which leaves the singular
+    values unchanged.  Once every pair of rows is orthogonal to within
+    round-off, the singular values are the row norms.  No Gram matrix is
+    formed, so a small singular value keeps an absolute error of order
+    eps times the largest and nothing is cut off.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ m.conj().T
-    else:
-        gram = m.conj().T @ m
-    vals, _ = hermitian_eigen(gram, tol=1e-8 * max(1.0, float(np.abs(gram).max())))
-    cutoff = 1e-11 * max(float(vals[-1]), 0.0)
-    vals = np.where(vals > cutoff, vals, 0.0)
-    return float(np.sqrt(vals).sum())
+    a = m.copy() if m.shape[0] <= m.shape[1] else m.conj().T.copy()
+    rows = a.shape[0]
+    conv_tol = max(a.shape) * np.finfo(float).eps
+    for _ in range(100):
+        gram = a @ a.conj().T
+        sq = np.real(np.diagonal(gram))
+        off = np.abs(gram - np.diag(np.diagonal(gram)))
+        if (off <= conv_tol * np.sqrt(np.outer(sq, sq))).all():
+            return float(np.sqrt(sq).sum())
+        for p in range(rows - 1):
+            for q in range(p + 1, rows):
+                alpha = np.vdot(a[p], a[p]).real
+                beta = np.vdot(a[q], a[q]).real
+                b = np.vdot(a[q], a[p])
+                if abs(b) <= conv_tol * np.sqrt(alpha * beta):
+                    continue
+                # the rotation that zeroes entry (p, q) of a a^dag
+                c, s, phase = _jacobi_rotation(alpha, beta, b)
+                rp, rq = a[p].copy(), a[q].copy()
+                a[p] = c * rp - s * phase * rq
+                a[q] = s * np.conj(phase) * rp + c * rq
+    raise EigenConvergenceError(
+        "one-sided Jacobi did not orthogonalise the rows in 100 sweeps"
+    )
 
 
 def von_neumann_entropy(m: np.ndarray, log_base: float = 2.0, *, tol: float = 1e-8) -> float:

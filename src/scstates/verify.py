@@ -6,6 +6,11 @@ Jacobi eigensolver, never the fast path) and returns the absolute
 disagreement.  ``state_residuals`` runs them all on one state (``analyze
 --oracle``), ``run_suite`` over random states (``oracle-verify``), and
 ``check_entries`` applies the one tolerance rule to either result.
+
+The witness is also checked on random fully separable states:
+``random_product_mixture`` draws a whole batch of product-state mixtures
+at once as local factors, and ``witness_residuals`` evaluates Tr[W sigma]
+on all of them together from the witness's sparse terms.
 """
 
 import numpy as np
@@ -51,8 +56,7 @@ def negativity_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD)
     """Closed-form negativity vs (sum of |dense PT eigenvalues| - 1)/2.
 
     The PT is Hermitian, so its trace norm is read off its own Jacobi
-    spectrum; ``oracle.trace_norm`` squares the matrix first and would
-    lose eigenvalues below ~3e-6 of the largest.
+    spectrum.
     """
     rho = oracle.dense_from_sc(state, size_guard=size_guard)
     dims = [state.dim] * state.parties
@@ -81,35 +85,39 @@ def state_spectrum_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GU
     return float(np.abs(vals - expected).max())
 
 
-def random_product_mixture(parties: int, dim: int, rng, max_components: int = 4):
-    """A random fully separable density source: mixture of product pure states.
+def random_product_mixture(
+    parties: int, dim: int, rng, samples: int, max_components: int = 4
+):
+    """``samples`` random fully separable density sources, drawn in one call.
 
-    Returns (weights, vectors) with each vector a full product-state
-    amplitude vector of length dim**parties; the implied density matrix
-    sum_i w_i |v_i><v_i| is separable by construction.
+    Each sample is a mixture of 1..max_components product pure states.
+    Returns ``(weights, local)``: weights of shape (samples, max_components)
+    and unit local factors of shape (samples, max_components, parties,
+    dim), both zero beyond each sample's component count.  Component c
+    of sample s is the product vector local[s, c, 0] (x) ... (x)
+    local[s, c, parties - 1], so sum_c w_sc |v_sc><v_sc| is separable by
+    construction; the dim**parties vectors are never built.
+
+    Per sample, in order: ``rng.integers`` for the component count,
+    ``rng.dirichlet`` for the weights, and one ``rng.standard_normal``
+    call for the real and imaginary parts of every local factor.
     """
-    count = int(rng.integers(1, max_components + 1))
-    weights = rng.dirichlet(np.ones(count))
-    vectors = []
-    for _ in range(count):
-        v = np.ones(1, dtype=complex)
-        for _ in range(parties):
-            local = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            local /= np.linalg.norm(local)
-            v = np.kron(v, local)
-        vectors.append(v)
-    return weights, vectors
-
-
-def _mixture_expectation(w: separability.Witness, weights, vectors) -> float:
-    """Tr[W sigma] through the sparse terms; no dense sigma is built."""
-    total = 0.0 + 0.0j
-    for r, c, v in w.terms:
-        entry = sum(
-            wt * vec[c] * np.conj(vec[r]) for wt, vec in zip(weights, vectors)
+    weights = np.zeros((samples, max_components))
+    parts = np.zeros((samples, max_components, parties, 2, dim))
+    for s in range(samples):
+        count = int(rng.integers(1, max_components + 1))
+        weights[s, :count] = rng.dirichlet(np.ones(count))
+        parts[s, :count] = rng.standard_normal(2 * count * parties * dim).reshape(
+            count, parties, 2, dim
         )
-        total += v * entry
-    return float(total.real)
+    local = parts[..., 0, :] + 1j * parts[..., 1, :]
+    norms = np.sqrt((parts**2).sum(axis=-1).sum(axis=-1))[..., None]
+    return weights, local / np.where(norms > 0.0, norms, 1.0)
+
+
+#: Bytes of product-vector entries one block of samples may hold in
+#: ``witness_residuals``.
+_SAMPLE_BLOCK_BYTES = 1 << 20
 
 
 def witness_residuals(
@@ -123,7 +131,12 @@ def witness_residuals(
 
     The first number compares both evaluation routes against the exact
     target -sum_{m<n}|a_mn|; the second must stay >= -tol for the witness
-    to be valid on separable states.
+    to be valid on separable states.  It draws all ``separable_samples``
+    mixtures sigma with one ``random_product_mixture`` call and evaluates
+    Tr[W sigma] = sum_(r,c,v) v sigma[c, r] through the sparse terms,
+    with each product-vector entry the product of the local factors at
+    the index's base-N digits (no dense sigma, no SC shortcut).  An empty
+    witness gives 0.0 and no samples give inf.
     """
     w = separability.build_witness(state)
     target = -float(
@@ -133,12 +146,26 @@ def witness_residuals(
     rho = oracle.dense_from_sc(state, size_guard=size_guard)
     dense = float(np.trace(w.to_dense(size_guard=size_guard) @ rho).real)
     residual = max(abs(closed - target), abs(dense - target))
+    if separable_samples < 1:
+        return residual, float("inf")
+
+    k, n = state.parties, state.dim
+    weights, local = random_product_mixture(k, n, rng, separable_samples)
+    rows = np.array([r for r, _, _ in w.terms], dtype=int)
+    cols = np.array([c for _, c, _ in w.terms], dtype=int)
+    values = np.array([v for _, _, v in w.terms], dtype=complex)
+    index = np.concatenate([rows, cols])
+    digits = (index // n ** np.arange(k - 1, -1, -1)[:, None]) % n
+    block = max(1, _SAMPLE_BLOCK_BYTES // (16 * local.shape[1] * max(1, index.size)))
     worst_separable = np.inf
-    for _ in range(separable_samples):
-        weights, vectors = random_product_mixture(state.parties, state.dim, rng)
-        worst_separable = min(
-            worst_separable, _mixture_expectation(w, weights, vectors)
-        )
+    for s in range(0, separable_samples, block):
+        vec = local[s : s + block, :, 0, digits[0]]
+        for p in range(1, k):
+            vec *= local[s : s + block, :, p, digits[p]]
+        vec_r, vec_c = vec[..., : rows.size], vec[..., rows.size :]
+        # sigma[s, t] = sigma_s[cols[t], rows[t]]
+        sigma = np.einsum("sm,smt->st", weights[s : s + block], vec_c * vec_r.conj())
+        worst_separable = min(worst_separable, float((sigma @ values).real.min()))
     return residual, float(worst_separable)
 
 

@@ -19,6 +19,7 @@ from scstates import (
     relative_entropy,
     roof_optimizer,
 )
+from scstates import measures
 
 THREE_QUBIT_MIXED = [[2 / 3, 1 / 3], [1 / 3, 1 / 3]]
 TILTED = (np.sqrt(1 / 3), np.sqrt(2 / 3))
@@ -114,6 +115,21 @@ def test_concurrence_report_bounds_only_and_roof():
     assert roofed.roof_trace is not None
     assert isinstance(roofed.roof_converged, bool)
     assert plain.lower - 1e-9 <= roofed.upper <= plain.upper + 1e-12
+
+
+def test_concurrence_roof_skips_optimizer_when_exact_known(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("roof_optimizer ran although exact is known")
+
+    monkeypatch.setattr(measures, "roof_optimizer", fail)
+    for st in (
+        pure_to_mixed(new_pure_sc_state(3, TILTED)),
+        new_sc_state(2, 2, [[0.5, 0.25], [0.25, 0.5]]),
+    ):
+        rep = concurrence(st, roof=True)
+        assert rep.upper == rep.exact
+        assert rep.roof_trace == ()
+        assert rep.roof_converged is True
 
 
 def test_concurrence_ghz23_bounds_coincide():

@@ -298,7 +298,23 @@ def test_dense_spectrum_matches_coefficients():
 
 
 def test_negativity_residual_resolves_tolerance_scale_coherences():
-    # a01 = a12 = 0.8e-9 sit far below trace_norm's ~3e-6 relative cutoff
+    # a01 = a12 = 0.8e-9 sit just below the default 1e-9 tolerance
     a = np.diag([0.4, 0.3, 0.3]).astype(complex)
     a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 0.8e-9
     assert verify.negativity_residual(new_sc_state(3, 3, a)) <= 1e-12
+
+
+def test_realignment_residual_resolves_tolerance_scale_coherences():
+    a = np.diag([0.4, 0.3, 0.3]).astype(complex)
+    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 0.8e-9
+    assert verify.realignment_residual(new_sc_state(3, 3, a)) <= 1e-12
+
+
+def test_trace_norm_keeps_small_singular_values():
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    sing = np.array([1.0, 0.3, 1e-9, 0.0])
+    m = u @ np.diag(sing) @ v[:4]
+    assert trace_norm(m) == pytest.approx(sing.sum(), abs=1e-14)
+    assert trace_norm(m.conj().T) == pytest.approx(sing.sum(), abs=1e-14)

@@ -116,8 +116,9 @@ def test_witness_nonnegative_on_separable_samples():
     rng = np.random.default_rng(103)
     st = random_sc_state(3, 2, rng)
     w = build_witness(st)
-    for _ in range(200):
-        weights, vectors = random_product_mixture(3, 2, rng)
+    samples = random_product_mixture(3, 2, rng, 200)
+    for weights, factors in zip(*samples):
+        vectors = [np.kron(np.kron(f[0], f[1]), f[2]) for f in factors]
         total = 0.0 + 0.0j
         for r, c, v in w.terms:
             entry = sum(
