@@ -36,15 +36,19 @@ ROOF_GRAD_TOL = 1e-9
 
 
 def negativity(state: SCState) -> float:
-    """Negativity: half the absolute sum of off-diagonal coefficients.
+    """Negativity: sum_{m<n} |a_mn|, half the absolute off-diagonal sum.
 
     Equals (trace norm of the partial transpose - 1)/2 and also
     (realignment_norm - 1)/2.  Ranges over [0, (N-1)/2]; zero exactly on
     separable states, maximal only for the uniform GHZ coefficient matrix.
+    The off-diagonal moduli are summed directly (not as a total minus the
+    diagonal), each as ``hypot`` like the scalar ``abs(a_mn)`` (numpy's
+    vectorised complex ``abs`` can differ from it by an ulp), so for
+    N = 2 it is exactly ``abs(a_01)``.
     """
     a = state.a
-    off = np.abs(a).sum() - np.abs(np.diagonal(a)).sum()
-    return float(0.5 * off)
+    moduli = np.hypot(a.real, a.imag)
+    return float(0.5 * moduli[~np.eye(state.dim, dtype=bool)].sum())
 
 
 def _pure_overlap_sum(amplitudes: np.ndarray) -> float:

@@ -2,9 +2,13 @@
 
 Everything an SC state's partial transposes, realignment, and Bloch tensor
 can say about entanglement collapses onto the off-diagonal entries of the
-coefficient matrix, so each criterion here has a closed form.  The dense
-routes in :mod:`scstates.oracle` re-derive the same quantities from the
-explicit N^k x N^k matrices for cross-validation.
+coefficient matrix, so each criterion here has a closed form computed from
+the N x N coefficients alone: the Bloch vectors and correlation tensor are
+scattered from a_mn into their generator positions, and no function here
+builds the N^k x N^k matrix except ``Witness.to_dense``, the explicit form
+kept for cross-checks.  The dense routes in :mod:`scstates.oracle` and
+:mod:`scstates.verify` re-derive the same quantities from the explicit
+matrices for cross-validation.
 """
 
 from dataclasses import dataclass
@@ -254,35 +258,72 @@ class BlochDecomposition:
         return int(round(np.sqrt(self.s.size + 1)))
 
 
+def _diagonal_generator_values(d: int, levels: np.ndarray) -> np.ndarray:
+    """(d - 1, len(levels)) values of the diagonal SU(d) generators at ``levels``.
+
+    Generator i is sqrt(2/((i+1)(i+2))) on levels 0..i, -(i+1) times that
+    on level i + 1, and zero above (:func:`scstates.oracle.su_generators`).
+    """
+    i = np.arange(d - 1)[:, None]
+    x = levels[None, :]
+    scale = np.sqrt(2.0 / ((i + 1) * (i + 2)))
+    return scale * ((x <= i) - (i + 1) * (x == i + 1))
+
+
+def _pair_position(d: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Index of the symmetric generator of pair (j, k), j < k, in SU(d)."""
+    return (d - 1) + j * d - j * (j + 1) // 2 + (k - j - 1)
+
+
 def bloch_decomposition(
     state: SCState, split: int = 1, *, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> BlochDecomposition:
     """Compute the Bloch vectors and correlation tensor across a split.
 
-    Dense-path operation: builds the N^k x N^k matrix and traces it
-    against generator tensor products, so the size guard applies.
-    ``split`` must satisfy 1 <= split <= parties - 1.
+    Closed form: rho = sum_mn a_mn |m_A m_B><n_A n_B|, where level m sits at
+    index m_A = m (M - 1)/(N - 1) of the first side (m repeated ``split``
+    times in base N) and likewise m_B on the second.  So only the diagonal
+    generators see the a_mm, giving r, s and the (M-1) x (R-1) diagonal
+    block (M R/4) D_A diag(a) D_B^T of t; each pair m < n puts
+    +/-(M R/2) Re a_mn and -(M R/2) Im a_mn at the symmetric and
+    antisymmetric generators of (m_A, n_A) x (m_B, n_B).  Nothing dense is
+    built, but t still has ~N^{2k} entries, so the size guard applies to
+    N^k.  ``split`` must satisfy 1 <= split <= parties - 1.
     """
     k, n = state.parties, state.dim
     if int(split) != split or not 1 <= split <= k - 1:
         raise ValueError(f"split must be an integer in [1, {k - 1}], got {split}")
     split = int(split)
+    oracle.check_size_guard(n**k, size_guard)
     dim_first = n**split
     dim_rest = n ** (k - split)
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
-    gens_first = oracle.su_generators(dim_first)
-    gens_rest = oracle.su_generators(dim_rest)
-    rho4 = rho.reshape(dim_first, dim_rest, dim_first, dim_rest)
+    a = state.a
+    levels_first = repeated_basis_index(np.arange(n), split, n)
+    levels_rest = repeated_basis_index(np.arange(n), k - split, n)
+    diag_a = np.diagonal(a).real
+    diag_first = _diagonal_generator_values(dim_first, levels_first)
+    diag_rest = _diagonal_generator_values(dim_rest, levels_rest)
 
-    r = (dim_first / 2.0) * np.einsum("abcb,ica->i", rho4, gens_first)
-    s = (dim_rest / 2.0) * np.einsum("abad,jdb->j", rho4, gens_rest)
-    t = (dim_first * dim_rest / 4.0) * np.einsum(
-        "abcd,ica,jdb->ij", rho4, gens_first, gens_rest
-    )
-    residue = max(np.abs(r.imag).max(), np.abs(s.imag).max(), np.abs(t.imag).max())
-    if residue > 1e-9:  # traces of Hermitian products are real; dust only
-        raise RuntimeError(f"imaginary residue {residue:.3e} in Bloch coefficients")
-    return BlochDecomposition(split=split, r=r.real, s=s.real, t=t.real)
+    r = np.zeros(dim_first**2 - 1)
+    s = np.zeros(dim_rest**2 - 1)
+    t = np.zeros((dim_first**2 - 1, dim_rest**2 - 1))
+    r[: dim_first - 1] = (dim_first / 2.0) * (diag_first @ diag_a)
+    s[: dim_rest - 1] = (dim_rest / 2.0) * (diag_rest @ diag_a)
+    scale = dim_first * dim_rest / 4.0
+    t[: dim_first - 1, : dim_rest - 1] = scale * (diag_first * diag_a) @ diag_rest.T
+
+    m, j = np.triu_indices(n, 1)
+    sym_first = _pair_position(dim_first, levels_first[m], levels_first[j])
+    sym_rest = _pair_position(dim_rest, levels_rest[m], levels_rest[j])
+    anti_first = sym_first + dim_first * (dim_first - 1) // 2
+    anti_rest = sym_rest + dim_rest * (dim_rest - 1) // 2
+    re = 2.0 * scale * a[m, j].real
+    im = 2.0 * scale * a[m, j].imag
+    t[sym_first, sym_rest] = re
+    t[sym_first, anti_rest] = -im
+    t[anti_first, sym_rest] = -im
+    t[anti_first, anti_rest] = -re
+    return BlochDecomposition(split=split, r=r, s=s, t=t)
 
 
 def check_corollary2(b: BlochDecomposition, tol: float = DEFAULT_SEP_TOL) -> bool:

@@ -130,7 +130,9 @@ def witness_residuals(
     """(closed-vs-dense residual on Tr[W rho], min Tr[W sigma] over samples).
 
     The first number compares both evaluation routes against the exact
-    target -sum_{m<n}|a_mn|; the second must stay >= -tol for the witness
+    target -sum_{m<n}|a_mn|: the closed form on the coefficients and the
+    sum of v rho[c, r] over the witness's sparse terms (r, c, v) against
+    the dense rho.  The second must stay >= -tol for the witness
     to be valid on separable states.  It draws all ``separable_samples``
     mixtures sigma with one ``random_product_mixture`` call and evaluates
     Tr[W sigma] = sum_(r,c,v) v sigma[c, r] through the sparse terms,
@@ -143,17 +145,17 @@ def witness_residuals(
         sum(abs(state.a[m, j]) for m, j in w.source_pairs)
     )
     closed = separability.witness_expectation(w, state)
+    rows = np.array([r for r, _, _ in w.terms], dtype=int)
+    cols = np.array([c for _, c, _ in w.terms], dtype=int)
+    values = np.array([v for _, _, v in w.terms], dtype=complex)
     rho = oracle.dense_from_sc(state, size_guard=size_guard)
-    dense = float(np.trace(w.to_dense(size_guard=size_guard) @ rho).real)
+    dense = float((values * rho[cols, rows]).sum().real)
     residual = max(abs(closed - target), abs(dense - target))
     if separable_samples < 1:
         return residual, float("inf")
 
     k, n = state.parties, state.dim
     weights, local = random_product_mixture(k, n, rng, separable_samples)
-    rows = np.array([r for r, _, _ in w.terms], dtype=int)
-    cols = np.array([c for _, c, _ in w.terms], dtype=int)
-    values = np.array([v for _, _, v in w.terms], dtype=complex)
     index = np.concatenate([rows, cols])
     digits = (index // n ** np.arange(k - 1, -1, -1)[:, None]) % n
     block = max(1, _SAMPLE_BLOCK_BYTES // (16 * local.shape[1] * max(1, index.size)))
@@ -173,6 +175,25 @@ def _default_splits(parties: int):
     return sorted({1, max(1, parties // 2)})
 
 
+def _dense_from_bloch(b: separability.BlochDecomposition) -> np.ndarray:
+    """The density matrix rebuilt from its Bloch expansion.
+
+    rho = (1/(M R)) sum_ij c_ij g_i x h_j with g_0 = I_M, h_0 = I_R and
+    c = [[1, s], [r, t]]; the sum is G^T c H on the generators reshaped to
+    (M^2 - 1, M^2) and (R^2 - 1, R^2), split into its identity and
+    generator rows, then one transpose from (a, c, b, d) to (a, b, c, d).
+    """
+    m, r_dim = b.dim_first, b.dim_rest
+    gens_a = oracle.su_generators(m).reshape(m * m - 1, m * m)
+    gens_b = oracle.su_generators(r_dim).reshape(r_dim * r_dim - 1, r_dim * r_dim)
+    eye_a = np.eye(m).reshape(m * m)
+    eye_b = np.eye(r_dim).reshape(r_dim * r_dim)
+    rec = gens_a.T @ (b.t @ gens_b + np.outer(b.r, eye_b))
+    rec += np.outer(eye_a, b.s @ gens_b + eye_b)
+    rec = rec.reshape(m, m, r_dim, r_dim).transpose(0, 2, 1, 3)
+    return rec.reshape(m * r_dim, m * r_dim) / (m * r_dim)
+
+
 def bloch_residuals(
     state: SCState,
     splits=None,
@@ -180,13 +201,16 @@ def bloch_residuals(
     tol: float = separability.DEFAULT_SEP_TOL,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> float:
-    """Bloch-decomposition structure checks across bipartitions.
+    """Closed-form Bloch decomposition vs the dense state, across bipartitions.
 
     Verifies the SC structural zeros (off-diagonal-generator components
     of both local vectors and the mixed correlation blocks), rebuilds the
-    dense state from the expansion, and demands the corner-block
-    separability verdict match the off-diagonal test.  Disagreement on
-    the verdict returns infinity; otherwise the worst numeric residual.
+    dense state from the closed-form expansion with the oracle's
+    generators and compares it with ``oracle.dense_from_sc`` (the
+    generators are orthogonal, so the two agree exactly when the
+    coefficients are right), and demands the corner-block separability
+    verdict match the off-diagonal test.  Disagreement on the verdict
+    returns infinity; otherwise the worst numeric residual.
     """
     if splits is None:
         splits = _default_splits(state.parties)
@@ -203,15 +227,7 @@ def bloch_residuals(
         worst = max(worst, float(np.abs(b.t[m - 1 :, : r_dim - 1]).max(initial=0.0)))
         if separability.check_corollary2(b, tol) != sep:
             return float("inf")
-
-        gens_a = oracle.su_generators(m)
-        gens_b = oracle.su_generators(r_dim)
-        rec = np.einsum("ac,bd->abcd", np.eye(m, dtype=complex), np.eye(r_dim))
-        rec += np.einsum("i,iac,bd->abcd", b.r, gens_a, np.eye(r_dim))
-        rec += np.einsum("j,ac,jbd->abcd", b.s, np.eye(m, dtype=complex), gens_b)
-        rec += np.einsum("ij,iac,jbd->abcd", b.t, gens_a, gens_b)
-        rec = rec.reshape(rho.shape) / (m * r_dim)
-        worst = max(worst, float(np.abs(rec - rho).max()))
+        worst = max(worst, float(np.abs(_dense_from_bloch(b) - rho).max()))
     return worst
 
 

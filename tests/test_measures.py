@@ -44,6 +44,14 @@ def test_negativity_realignment_relation():
         )
 
 
+def test_qubit_concurrence_lower_bound_never_exceeds_exact():
+    # negativity sums the off-diagonal moduli, so at N = 2 the lower bound
+    # 2 * negativity is exactly 2|a_01|, not an ulp above it
+    for seed in range(300):
+        rep = concurrence(random_sc_state(2, 2, seed), roof=True)
+        assert rep.lower <= rep.exact == rep.upper
+
+
 def test_pure_concurrence_values():
     psi = new_pure_sc_state(2, TILTED)
     assert concurrence_pure_bipartite(psi) == pytest.approx(

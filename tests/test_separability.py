@@ -1,5 +1,7 @@
 """Partial-transpose spectra, witnesses, realignment, and the Bloch test."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from scstates import (
     realignment_norm,
     witness_expectation,
 )
-from scstates.oracle import dense_from_sc, hermitian_eigen, partial_transpose
+from scstates.oracle import dense_from_sc, hermitian_eigen, partial_transpose, su_generators
 from scstates.verify import random_product_mixture
 
 THREE_QUBIT_MIXED = [[2 / 3, 1 / 3], [1 / 3, 1 / 3]]
@@ -201,9 +203,43 @@ def test_corollary2_matches_off_diagonal_test():
         assert check_corollary2(bloch_decomposition(diag, split))
 
 
-def test_bloch_reconstructs_density_matrix():
-    from scstates.oracle import su_generators
+def _dense_projection(state, split):
+    """(r, s, t) by tracing the dense state against generator tensor products."""
+    m = state.dim**split
+    r_dim = state.dim ** (state.parties - split)
+    rho4 = dense_from_sc(state).reshape(m, r_dim, m, r_dim)
+    gm, gr = su_generators(m), su_generators(r_dim)
+    r = (m / 2.0) * np.einsum("abcb,ica->i", rho4, gm)
+    s = (r_dim / 2.0) * np.einsum("abad,jdb->j", rho4, gr)
+    t = (m * r_dim / 4.0) * np.einsum("abcd,ica,jdb->ij", rho4, gm, gr)
+    return r, s, t
 
+
+@pytest.mark.parametrize(
+    "parties, dim",
+    [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3), (5, 2)],
+)
+def test_bloch_closed_form_matches_dense_projection(parties, dim):
+    st = random_sc_state(parties, dim, 10 * parties + dim)
+    assert np.abs(st.a.imag).max() > 0.01
+    for split in range(1, parties):
+        b = bloch_decomposition(st, split)
+        r, s, t = _dense_projection(st, split)
+        assert np.abs(b.r - r).max() <= 1e-12
+        assert np.abs(b.s - s).max() <= 1e-12
+        assert np.abs(b.t - t).max() <= 1e-12
+
+
+def test_bloch_five_qutrits_is_fast():
+    st = random_sc_state(5, 3, 109)
+    start = time.perf_counter()
+    for split in range(1, 5):
+        b = bloch_decomposition(st, split)
+        assert b.t.shape == (9**split - 1, 9 ** (5 - split) - 1)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_bloch_reconstructs_density_matrix():
     rng = np.random.default_rng(108)
     for parties, dim, split in ((2, 2, 1), (3, 2, 1), (3, 2, 2), (2, 3, 1)):
         st = random_sc_state(parties, dim, rng)

@@ -1,4 +1,4 @@
-"""Witness sampling in the verification suite: draws and minima.
+"""Verification-suite checks: witness sampling and the Bloch cross-check.
 
 ``witness_residuals`` draws all separable samples in one batched call.
 The references below are the per-sample sampler it replaced, with
@@ -6,11 +6,14 @@ explicit ``np.kron`` product vectors: the batched route must leave the
 generator in the same state and find the same minimum.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scstates import build_witness, new_sc_state, random_sc_state, verify
+from scstates import build_witness, new_sc_state, random_sc_state, separability, verify
 
 
 def _reference_mixture(parties, dim, rng, max_components=4):
@@ -93,3 +96,47 @@ def test_random_product_mixture_layout():
     live = weights > 0.0
     assert np.abs(norms[live] - 1.0).max() <= 1e-12
     assert not norms[~live].any()
+
+
+def test_witness_residuals_peak_memory_stays_near_one_dense_state():
+    state = random_sc_state(2, 30, 9)
+    rho_bytes = 16 * 900 * 900
+    tracemalloc.start()
+    try:
+        residual, _ = verify.witness_residuals(state, np.random.default_rng(9), 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak < 2 * rho_bytes
+
+
+def _perturbed_bloch(monkeypatch, pick):
+    """Patch ``bloch_decomposition`` to add 1e-6 to the entry of t ``pick`` names."""
+    original = separability.bloch_decomposition
+
+    def perturbed(state, split=1, **kwargs):
+        b = original(state, split, **kwargs)
+        t = b.t.copy()
+        t[pick(b)] += 1e-6
+        return separability.BlochDecomposition(split=b.split, r=b.r, s=b.s, t=t)
+
+    monkeypatch.setattr(separability, "bloch_decomposition", perturbed)
+
+
+def _largest_pair_entry(b):
+    corner = np.abs(b.t[b.dim_first - 1 :, b.dim_rest - 1 :])
+    i, j = np.unravel_index(corner.argmax(), corner.shape)
+    return b.dim_first - 1 + i, b.dim_rest - 1 + j
+
+
+@pytest.mark.parametrize(
+    "pick", [lambda b: (0, b.dim_rest - 2), _largest_pair_entry], ids=["diagonal", "pair"]
+)
+def test_bloch_residuals_catch_a_wrong_closed_form(monkeypatch, pick):
+    state = random_sc_state(3, 3, 12)
+    tol = separability.DEFAULT_SEP_TOL
+    assert verify.bloch_residuals(state, [1, 2], tol=tol) <= 1e-12
+    _perturbed_bloch(monkeypatch, pick)
+    residual = verify.bloch_residuals(state, [1, 2], tol=tol)
+    assert np.isfinite(residual) and residual > tol
