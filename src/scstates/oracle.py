@@ -17,9 +17,10 @@ import numpy as np
 from .errors import EigenConvergenceError, NotHermitianError, NotPSDError, SizeGuardError
 from .states import PureSCState, SCState
 
-#: Largest total dimension N^k any dense-path operation will construct.
-#: 4096-dimensional Jacobi runs already take hours, so the default fence
-#: sits just below that (a 6-party 4-level system is refused).
+#: Largest side of any dense array the oracle builds: N^k for a dense state,
+#: max(M, R)^2 for the Bloch check's generator tensors.  An array thus holds
+#: at most guard^2 entries (~256 MB complex at the default; a 6-party
+#: 4-level system is refused).
 DEFAULT_SIZE_GUARD = 4095
 
 
@@ -33,12 +34,15 @@ def check_size_guard(dim_total: int, size_guard: int = DEFAULT_SIZE_GUARD) -> No
         )
 
 
-def repeated_basis_index(level: int, parties: int, dim: int) -> int:
-    """Flat index of |m m ... m> (k repetitions of digit m, base N)."""
-    idx = 0
-    for _ in range(parties):
-        idx = idx * dim + level
-    return idx
+def repeated_basis_index(level, parties: int, dim: int):
+    """Flat index of |m m ... m> (k repetitions of digit m, base N).
+
+    That is m (N^k - 1)/(N - 1), for a scalar or an array of levels; a
+    Python int level gives an exact Python int for any k.  Inverted by
+    ``divmod(idx, repeated_basis_index(1, parties, dim))``: remainder 0
+    iff idx is a repeated index, and then the quotient is m.
+    """
+    return level * ((dim**parties - 1) // (dim - 1))
 
 
 def normalize_party_subset(subset, parties: int, *, proper: bool = False) -> tuple:
@@ -63,7 +67,7 @@ def dense_from_sc(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> np
     total = n**k
     check_size_guard(total, size_guard)
     rho = np.zeros((total, total), dtype=complex)
-    idx = [repeated_basis_index(m, k, n) for m in range(n)]
+    idx = repeated_basis_index(np.arange(n), k, n)
     rho[np.ix_(idx, idx)] = state.a
     return rho
 
@@ -74,8 +78,7 @@ def dense_pure(psi: PureSCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> np.
     total = n**k
     check_size_guard(total, size_guard)
     vec = np.zeros(total, dtype=complex)
-    for m in range(n):
-        vec[repeated_basis_index(m, k, n)] = psi.amplitudes[m]
+    vec[repeated_basis_index(np.arange(n), k, n)] = psi.amplitudes
     return vec
 
 
@@ -118,18 +121,12 @@ def _jacobi_rotation(a_pp: float, a_qq: float, a_pq: complex):
     return c, t * c, a_pq / ab
 
 
-def hermitian_eigen(
-    m: np.ndarray,
-    tol: float = 1e-10,
-    *,
-    max_sweeps: int = 100,
-    conv_tol: float = 1e-12,
-):
+def hermitian_eigen(m: np.ndarray, tol: float = 1e-10):
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
     Sweeps zero out one off-diagonal entry at a time with a unitary 2x2
-    rotation until the off-diagonal Frobenius norm falls below
-    ``conv_tol`` times the matrix norm (at most ``max_sweeps`` sweeps).
+    rotation until the off-diagonal Frobenius norm falls below 1e-12
+    times the matrix norm (at most 100 sweeps).
 
     Returns ``(values, vectors)`` with eigenvalues ascending and matching
     eigenvector columns; reconstruction ``V diag(w) V^dag`` and column
@@ -160,8 +157,9 @@ def hermitian_eigen(
         order = np.argsort(vals, kind="stable")
         return vals[order], v[:, order]
 
+    conv_tol = 1e-12
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = np.linalg.norm(a - np.diag(np.diagonal(a)))
         if off <= conv_tol * norm:
             converged = True
@@ -191,7 +189,7 @@ def hermitian_eigen(
     if not converged:
         raise EigenConvergenceError(
             f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} "
-            f"above {conv_tol:.0e} * {norm:.3e} after {max_sweeps} sweeps"
+            f"above {conv_tol:.0e} * {norm:.3e} after 100 sweeps"
         )
     vals = np.real(np.diagonal(a)).copy()
     order = np.argsort(vals, kind="stable")
@@ -269,33 +267,24 @@ def von_neumann_entropy(m: np.ndarray, log_base: float = 2.0, *, tol: float = 1e
     return float(-(lam * np.log(lam)).sum() / np.log(log_base))
 
 
-def relative_entropy_dense(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    log_base: float = 2.0,
-    *,
-    support_tol: float = 1e-12,
-    leak_tol: float = 1e-9,
-) -> float:
+def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray, log_base: float = 2.0) -> float:
     """Relative entropy Tr[rho log rho - rho log sigma] from dense matrices.
 
-    Both matrices are eigendecomposed with the Jacobi solver.  If rho has
-    weight beyond ``leak_tol`` outside sigma's support the result is
-    ``inf`` (the flagged value for a support violation).
+    The first term is -S(rho) from :func:`von_neumann_entropy` (so rho
+    must be a density matrix); sigma is eigendecomposed with the Jacobi
+    solver, and its support is every eigenvalue above 1e-12 times the
+    largest.  If rho has weight beyond 1e-9 outside that support the
+    result is ``inf`` (the flagged value for a support violation).
     """
-    vals_r, _ = hermitian_eigen(rho)
+    entropy = von_neumann_entropy(rho, log_base)
     vals_s, vecs_s = hermitian_eigen(sigma)
-
-    lam = vals_r[vals_r > 1e-15]
-    tr_r_log_r = float((lam * np.log(lam)).sum())
-
-    support = vals_s > support_tol * max(float(vals_s[-1]), 0.0)
+    support = vals_s > 1e-12 * max(float(vals_s[-1]), 0.0)
     overlaps = np.einsum("ij,jk,ki->i", vecs_s.conj().T, rho, vecs_s).real
     leakage = float(np.trace(rho).real - overlaps[support].sum())
-    if leakage > leak_tol:
+    if leakage > 1e-9:
         return float("inf")
     tr_r_log_s = float((overlaps[support] * np.log(vals_s[support])).sum())
-    return (tr_r_log_r - tr_r_log_s) / float(np.log(log_base))
+    return -entropy - tr_r_log_s / float(np.log(log_base))
 
 
 def su_generators(d: int) -> np.ndarray:

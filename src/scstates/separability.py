@@ -4,7 +4,10 @@ Everything an SC state's partial transposes, realignment, and Bloch tensor
 can say about entanglement collapses onto the off-diagonal entries of the
 coefficient matrix, so each criterion here has a closed form computed from
 the N x N coefficients alone: the Bloch vectors and correlation tensor are
-scattered from a_mn into their generator positions, and no function here
+scattered from a_mn into their generator positions, and a witness is
+evaluated on an :class:`SCState`'s coefficients only.  Level m of the state
+sits at the flat index ``repeated_basis_index(m, k, N)`` = m (N^k - 1)/(N - 1),
+and one ``divmod`` by the index of |1...1> inverts it.  No function here
 builds the N^k x N^k matrix except ``Witness.to_dense``, the explicit form
 kept for cross-checks.  The dense routes in :mod:`scstates.oracle` and
 :mod:`scstates.verify` re-derive the same quantities from the explicit
@@ -153,6 +156,7 @@ def build_witness(state: SCState) -> Witness:
     """
     a = state.a
     n, k = state.dim, state.parties
+    lead = n ** (k - 1)  # place value of party 1's digit
     terms = []
     pairs = []
     for m, j in _pair_indices(n):
@@ -162,11 +166,8 @@ def build_witness(state: SCState) -> Witness:
         pairs.append((m, j))
         theta = np.angle(amn)
         # |m n...n> and |n m...m> in flat indices
-        idx_mn = m
-        idx_nm = j
-        for _ in range(k - 1):
-            idx_mn = idx_mn * n + j
-            idx_nm = idx_nm * n + m
+        idx_mn = m * lead + repeated_basis_index(j, k - 1, n)
+        idx_nm = j * lead + repeated_basis_index(m, k - 1, n)
         rep_m = repeated_basis_index(m, k, n)
         rep_n = repeated_basis_index(j, k, n)
         phase = np.exp(1j * theta)
@@ -177,48 +178,31 @@ def build_witness(state: SCState) -> Witness:
     return Witness(dims=(n,) * k, terms=tuple(terms), source_pairs=tuple(pairs))
 
 
-def _is_repeated_index(idx: int, parties: int, dim: int):
-    """Return the repeated digit m if idx encodes |m...m>, else None."""
-    digits = []
-    for _ in range(parties):
-        digits.append(idx % dim)
-        idx //= dim
-    return digits[0] if all(d == digits[0] for d in digits) else None
+def witness_expectation(w: Witness, target: SCState) -> float:
+    """Expectation value Tr[W target] on an SC state, in closed form.
 
-
-def witness_expectation(w: Witness, target) -> float:
-    """Expectation value Tr[W target].
-
-    ``target`` may be an :class:`SCState` (evaluated in closed form on the
-    SC support, no dense algebra) or an explicit density matrix as an
-    ndarray.  Any fully separable target gives a nonnegative result up to
-    round-off; the witness's own source state gives -sum_{m<n}|a_mn|.
+    Only terms (r, c, v) with both indices repeated, r = |m...m> and
+    c = |n...n>, meet the state's support; each adds v a_nm.  Any fully
+    separable target gives a nonnegative result up to round-off; the
+    witness's own source state gives -sum_{m<n}|a_mn|.  A dense target is
+    evaluated by :func:`scstates.verify.witness_residuals` instead.
     """
-    if isinstance(target, SCState):
-        if target.dim != w.dims[0] or target.parties != len(w.dims):
-            raise ValueError(
-                f"dimension mismatch: witness on {w.dims}, "
-                f"state has (k, N) = ({target.parties}, {target.dim})"
-            )
-        total = 0.0 + 0.0j
-        k, n = target.parties, target.dim
-        for r, c, v in w.terms:
-            m_row = _is_repeated_index(c, k, n)  # rho[c, r]
-            m_col = _is_repeated_index(r, k, n)
-            if m_row is None or m_col is None:
-                continue
-            total += v * target.a[m_row, m_col]
-        return float(total.real)
-
-    target = np.asarray(target, dtype=complex)
-    total_dim = w.total_dim
-    if target.shape != (total_dim, total_dim):
+    if not isinstance(target, SCState):
+        raise TypeError(f"target must be an SCState, got {type(target).__name__}")
+    if target.dim != w.dims[0] or target.parties != len(w.dims):
         raise ValueError(
-            f"dimension mismatch: witness acts on dimension {total_dim}, "
-            f"target has shape {target.shape}"
+            f"dimension mismatch: witness on {w.dims}, "
+            f"state has (k, N) = ({target.parties}, {target.dim})"
         )
-    acc = complex(sum(v * target[c, r] for r, c, v in w.terms))
-    return float(acc.real)
+    unit = repeated_basis_index(1, target.parties, target.dim)
+    total = 0.0 + 0.0j
+    for r, c, v in w.terms:
+        m_row, off_row = divmod(c, unit)  # rho[c, r]
+        m_col, off_col = divmod(r, unit)
+        if off_row or off_col:
+            continue
+        total += v * target.a[m_row, m_col]
+    return float(total.real)
 
 
 def realignment_norm(state: SCState) -> float:
@@ -327,12 +311,18 @@ def bloch_decomposition(
 
 
 def check_corollary2(b: BlochDecomposition, tol: float = DEFAULT_SEP_TOL) -> bool:
-    """Bloch-tensor separability test.
+    """Bloch-tensor separability test, one vote per coefficient pair.
 
-    True iff every correlation-tensor entry t_ij with both i and j in the
-    off-diagonal-generator index range (i >= M - 1, j >= R - 1) vanishes
-    within ``tol``.  Agrees with :func:`is_fully_separable` on valid SC
-    states.
+    The corner block of t (both generators off-diagonal: i >= M - 1,
+    j >= R - 1) holds pair m < n in the symmetric row i and antisymmetric
+    row i + M(M - 1)/2 of the first side's pair (m_A, n_A).  Those two rows
+    have Frobenius norm sqrt(2) (M R/2) |a_mn|, so sqrt(2)/(M R) times it
+    is |a_mn|; true iff that is at most ``tol`` for every pair.  So the
+    verdict is :func:`is_fully_separable`'s on valid SC states, also at the
+    tolerance boundary.
     """
-    corner = b.t[b.dim_first - 1 :, b.dim_rest - 1 :]
-    return float(np.abs(corner).max()) <= tol
+    m, r_dim = b.dim_first, b.dim_rest
+    corner_sq = np.square(b.t[m - 1 :, r_dim - 1 :]).sum(axis=1)
+    half = m * (m - 1) // 2
+    pair_norm = np.sqrt(corner_sq[:half] + corner_sq[half:])
+    return float(pair_norm.max()) * np.sqrt(2.0) / (m * r_dim) <= tol

@@ -23,7 +23,7 @@ def _fmt_number(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
+    x = float(x) + 0.0  # -0.0 -> 0.0: JSON reads "-0" back as the integer 0
     if not np.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x}")
     return format(x, ".17g")

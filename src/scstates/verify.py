@@ -85,23 +85,22 @@ def state_spectrum_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GU
     return float(np.abs(vals - expected).max())
 
 
-def random_product_mixture(
-    parties: int, dim: int, rng, samples: int, max_components: int = 4
-):
+def random_product_mixture(parties: int, dim: int, rng, samples: int):
     """``samples`` random fully separable density sources, drawn in one call.
 
-    Each sample is a mixture of 1..max_components product pure states.
-    Returns ``(weights, local)``: weights of shape (samples, max_components)
-    and unit local factors of shape (samples, max_components, parties,
-    dim), both zero beyond each sample's component count.  Component c
-    of sample s is the product vector local[s, c, 0] (x) ... (x)
-    local[s, c, parties - 1], so sum_c w_sc |v_sc><v_sc| is separable by
-    construction; the dim**parties vectors are never built.
+    Each sample is a mixture of 1..4 product pure states.  Returns
+    ``(weights, local)``: weights of shape (samples, 4) and unit local
+    factors of shape (samples, 4, parties, dim), both zero beyond each
+    sample's component count.  Component c of sample s is the product
+    vector local[s, c, 0] (x) ... (x) local[s, c, parties - 1], so
+    sum_c w_sc |v_sc><v_sc| is separable by construction; the dim**parties
+    vectors are never built.
 
     Per sample, in order: ``rng.integers`` for the component count,
     ``rng.dirichlet`` for the weights, and one ``rng.standard_normal``
     call for the real and imaginary parts of every local factor.
     """
+    max_components = 4
     weights = np.zeros((samples, max_components))
     parts = np.zeros((samples, max_components, parties, 2, dim))
     for s in range(samples):
@@ -210,7 +209,9 @@ def bloch_residuals(
     generators are orthogonal, so the two agree exactly when the
     coefficients are right), and demands the corner-block separability
     verdict match the off-diagonal test.  Disagreement on the verdict
-    returns infinity; otherwise the worst numeric residual.
+    returns infinity; otherwise the worst numeric residual.  The SU(d)
+    generators hold about d^4 entries, so a split with max(M, R)^2 above
+    ``size_guard`` raises :class:`SizeGuardError` before any is built.
     """
     if splits is None:
         splits = _default_splits(state.parties)
@@ -221,6 +222,7 @@ def bloch_residuals(
         b = separability.bloch_decomposition(state, split, size_guard=size_guard)
         m = state.dim**split
         r_dim = state.dim ** (state.parties - split)
+        oracle.check_size_guard(max(m, r_dim) ** 2, size_guard)
         worst = max(worst, float(np.abs(b.r[m - 1 :]).max(initial=0.0)))
         worst = max(worst, float(np.abs(b.s[r_dim - 1 :]).max(initial=0.0)))
         worst = max(worst, float(np.abs(b.t[: m - 1, r_dim - 1 :]).max(initial=0.0)))
@@ -288,8 +290,10 @@ def state_residuals(
 
     The residual functions are looked up by their module-global names on
     each call, so patching one of them in this module reaches every caller.
-    ``rng`` is drawn from only by the witness's separable samples.
+    ``rng`` is drawn from only by the witness's separable samples.  The
+    Bloch check runs first, so a split its size guard refuses fails fast.
     """
+    bloch = bloch_residuals(state, splits, tol=tol, size_guard=size_guard)
     w_res, w_sep = witness_residuals(state, rng, separable_samples, size_guard=size_guard)
     residuals = {
         "pt_spectrum": pt_spectrum_residual(state, size_guard=size_guard),
@@ -298,7 +302,7 @@ def state_residuals(
         "relative_entropy": relative_entropy_residual(state, size_guard=size_guard),
         "state_spectrum": state_spectrum_residual(state, size_guard=size_guard),
         "witness": w_res,
-        "bloch": bloch_residuals(state, splits, tol=tol, size_guard=size_guard),
+        "bloch": bloch,
     }
     return residuals, w_sep
 

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from scstates import cli, is_fully_separable, verify
+from scstates import cli, is_fully_separable, oracle, verify
 from scstates.serialize import canonical_dumps, dumps_state, loads_state
-from scstates.states import new_sc_state
+from scstates.states import ghz, new_sc_state, pure_to_mixed
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +140,29 @@ def test_analyze_oracle_bloch_check_uses_tol(capsys, tmp_path):
     bloch = json.loads(stdout)["oracle_checks"]["bloch"]
     assert bloch["pass"] is True and bloch["tol"] == 1e-6
     assert bloch["max_residual"] <= 1e-12
+
+
+def test_analyze_oracle_passes_at_the_default_tol_boundary(capsys, tmp_path):
+    # every a_mn is within tol, so the Bloch vote must say separable too
+    path = write_boundary_state(tmp_path)
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "--oracle")
+    assert code == 0
+    bloch = json.loads(stdout)["oracle_checks"]["bloch"]
+    assert bloch["pass"] is True and bloch["max_residual"] <= 1e-12
+
+
+def test_analyze_oracle_refuses_bloch_generators_above_the_guard(capsys, tmp_path, monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"su_generators({d}) built past the guard")
+
+    monkeypatch.setattr(oracle, "su_generators", refuse)
+    # split 1 needs SU(R) generators of (R^2 - 1) R^2 complex entries:
+    # 0.69 GB at (5, 3), 55.8 GB at (6, 3), 0.27 GB at (4, 4)
+    for k, n in ((5, 3), (6, 3), (4, 4)):
+        path = tmp_path / f"g{k}{n}.json"
+        path.write_text(dumps_state(pure_to_mixed(ghz(k, n))))
+        code, _, err = run_cli(capsys, "analyze", str(path), "--oracle", "--split", "1")
+        assert code == 4 and "guard" in err
 
 
 def test_analyze_roof_tightens_upper_bound(capsys, tmp_path):
@@ -314,7 +337,11 @@ def test_size_guard_env_blocks_dense_work(capsys, tmp_path, monkeypatch):
     # plain analysis never builds the dense matrix, so it still succeeds
     code, _, _ = run_cli(capsys, "analyze", str(out))
     assert code == 0
+    # N^k = 8 fits, but the Bloch check's SU(4) generators need a side of 4^2
     monkeypatch.setenv("SC_SIZE_GUARD", "8")
+    code, _, err = run_cli(capsys, "analyze", str(out), "--oracle")
+    assert code == 4 and "16" in err
+    monkeypatch.setenv("SC_SIZE_GUARD", "16")
     code, _, _ = run_cli(capsys, "analyze", str(out), "--oracle")
     assert code == 0
 

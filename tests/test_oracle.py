@@ -46,6 +46,9 @@ def test_repeated_basis_index():
     assert repeated_basis_index(1, 3, 2) == 7
     assert repeated_basis_index(2, 2, 3) == 8
     assert repeated_basis_index(1, 4, 3) == 1 + 3 + 9 + 27
+    assert repeated_basis_index(np.arange(4), 3, 4).tolist() == [0, 21, 42, 63]
+    big = repeated_basis_index(7, 25, 8)  # a Python int, exact past int64
+    assert isinstance(big, int) and big == 8**25 - 1 > 2**63
 
 
 def test_party_subset_normalization():

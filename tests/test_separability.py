@@ -141,8 +141,8 @@ def test_witness_dimension_mismatch():
     w = build_witness(pure_to_mixed(ghz(2, 2)))
     with pytest.raises(ValueError):
         witness_expectation(w, pure_to_mixed(ghz(3, 2)))
-    with pytest.raises(ValueError):
-        witness_expectation(w, np.eye(8) / 8)
+    with pytest.raises(TypeError):
+        witness_expectation(w, np.eye(4) / 4)
 
 
 def test_realignment_norm_values():

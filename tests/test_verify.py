@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scstates import build_witness, new_sc_state, random_sc_state, separability, verify
+from scstates import (
+    SizeGuardError,
+    build_witness,
+    new_sc_state,
+    oracle,
+    random_sc_state,
+    separability,
+    verify,
+)
 
 
 def _reference_mixture(parties, dim, rng, max_components=4):
@@ -140,3 +148,15 @@ def test_bloch_residuals_catch_a_wrong_closed_form(monkeypatch, pick):
     _perturbed_bloch(monkeypatch, pick)
     residual = verify.bloch_residuals(state, [1, 2], tol=tol)
     assert np.isfinite(residual) and residual > tol
+
+
+def test_bloch_residuals_guard_the_generator_tensors(monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"su_generators({d}) built past the guard")
+
+    monkeypatch.setattr(oracle, "su_generators", refuse)
+    state = random_sc_state(3, 4, 13)  # split 1: R = 16, side 16^2 = 256
+    with pytest.raises(SizeGuardError):
+        verify.bloch_residuals(state, [1], size_guard=255)
+    with pytest.raises(AssertionError):
+        verify.bloch_residuals(state, [1], size_guard=256)
