@@ -10,38 +10,26 @@ Subcommands:
 
 Exit codes: 0 success, 2 input/validation problem, 3 oracle mismatch,
 4 dense-size guard exceeded, 1 anything else.  The environment variable
-``SC_SIZE_GUARD`` overrides the default dense-dimension guard.
+``SC_SIZE_GUARD`` overrides the default dense-dimension guard; it is read
+(by :func:`scstates.oracle.check_size_guard`) only when a command builds
+a dense array, so an invalid value exits 2 from ``analyze --oracle`` and
+``oracle-verify`` but not from plain ``analyze``.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, measures, oracle, separability, slocc, verify
+from . import __version__, measures, separability, slocc, verify
 from .errors import SizeGuardError, ValidationError
-from .oracle import DEFAULT_SIZE_GUARD
 from .separability import DEFAULT_SEP_TOL
 from .serialize import canonical_dumps, dumps_state, loads_state
 from .states import PureSCState, new_sc_state, random_sc_state
 
 _LOG_BASES = {"2": 2.0, "e": float(np.e), "10": 10.0}
-
-
-def _size_guard() -> int:
-    raw = os.environ.get("SC_SIZE_GUARD")
-    if raw is None:
-        return DEFAULT_SIZE_GUARD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"SC_SIZE_GUARD must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"SC_SIZE_GUARD must be positive, got {value}")
-    return value
 
 
 def _emit(text: str, output):
@@ -78,7 +66,6 @@ def _slocc_summary(state):
 
 
 def cmd_analyze(args) -> int:
-    guard = _size_guard()
     state = _load_state_file(args.input)
     base = _LOG_BASES[args.log_base]
     tol = args.tol
@@ -122,7 +109,7 @@ def cmd_analyze(args) -> int:
     oracle_failed = False
     if args.oracle:
         residuals, w_sep = verify.state_residuals(
-            state, np.random.default_rng(0), 100, [args.split], tol=tol, size_guard=guard
+            state, np.random.default_rng(0), 100, [args.split], tol=tol
         )
         worst = max(residuals.values())
         report["oracle_max_residual"] = worst if np.isfinite(worst) else None
@@ -162,14 +149,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    guard = _size_guard()
     summary = verify.run_suite(
-        args.k,
-        args.N,
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        size_guard=guard,
+        args.k, args.N, samples=args.samples, seed=args.seed, tol=args.tol
     )
     sys.stdout.write(canonical_dumps(summary))
     return 0 if summary["pass"] else 3

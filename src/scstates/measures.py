@@ -254,8 +254,9 @@ def concurrence(
 ) -> ConcurrenceReport:
     """Concurrence report: closed form when available, bounds otherwise.
 
-    lower is (2 sqrt(2) / sqrt(N(N-1))) times the negativity; upper is
-    sqrt(2(1 - 1/N)), improved by the roof optimizer when requested.
+    lower is (2 sqrt(2) / sqrt(N(N-1))) times the negativity, capped at
+    exact when that is known; upper is sqrt(2(1 - 1/N)), improved by the
+    roof optimizer when requested.
     exact is filled by the pure closed form for rank-one states and by
     2|a_01| for N = 2 (the lower bound is attained there: the moduli
     matrix [[a_00, |a_01|], [|a_01|, a_11]] is doubly nonnegative, so a
@@ -284,6 +285,10 @@ def concurrence(
         method = ConcurrenceMethod.ROOF_OPTIMIZER
     else:
         method = ConcurrenceMethod.BOUNDS_ONLY
+    if exact is not None:
+        # the lower bound is attained at rank one N = 2, where its own
+        # formula can round an ulp above the exact value; clamp
+        lower = min(lower, exact)
 
     if roof and exact is not None:
         upper, roof_trace, roof_converged = exact, (), True
@@ -294,9 +299,8 @@ def concurrence(
         roof_converged = result.converged
 
     # the optimizer may land a few ulp below the true value; the exact
-    # value and lower bound are valid upper-bound floors, so clamp
-    floor = max(lower, exact if exact is not None else 0.0)
-    upper = max(upper, floor)
+    # value, else the lower bound, is a valid upper-bound floor, so clamp
+    upper = max(upper, lower if exact is None else exact)
     return ConcurrenceReport(
         lower=lower,
         upper=upper,

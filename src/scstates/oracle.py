@@ -12,25 +12,43 @@ flattened row-major with party 1 most significant, i.e. ``|i_1 ... i_k>``
 maps to ``((i_1*N + i_2)*N + ...)*N + i_k``.
 """
 
+import os
+
 import numpy as np
 
 from .errors import EigenConvergenceError, NotHermitianError, NotPSDError, SizeGuardError
-from .states import PureSCState, SCState
+from .states import DEFAULT_TOL, PureSCState, SCState
 
-#: Largest side of any dense array the oracle builds: N^k for a dense state,
-#: max(M, R)^2 for the Bloch check's generator tensors.  An array thus holds
-#: at most guard^2 entries (~256 MB complex at the default; a 6-party
-#: 4-level system is refused).
+#: Largest side of any dense array the oracle builds, unless the environment
+#: variable SC_SIZE_GUARD sets another: N^k for a dense state, max(M, R)^2
+#: for the Bloch check's generator tensors.  An array thus holds at most
+#: guard^2 entries (~256 MB complex at the default; a 6-party 4-level
+#: system is refused).
 DEFAULT_SIZE_GUARD = 4095
 
+#: Slack on the spectrum and trace of a density matrix given to
+#: :func:`von_neumann_entropy`.
+DENSITY_TOL = 1e-8
 
-def check_size_guard(dim_total: int, size_guard: int = DEFAULT_SIZE_GUARD) -> None:
-    """Raise :class:`SizeGuardError` if a dense construction would be too large."""
-    if dim_total > size_guard:
+
+def check_size_guard(side: int) -> None:
+    """Raise :class:`SizeGuardError` if a dense array of this side is too large.
+
+    The guard is ``SC_SIZE_GUARD`` when that environment variable is set
+    (a positive integer, else ``ValueError``), and ``DEFAULT_SIZE_GUARD``
+    otherwise.  This is the only place the guard is read.
+    """
+    raw = os.environ.get("SC_SIZE_GUARD")
+    try:
+        guard = DEFAULT_SIZE_GUARD if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"SC_SIZE_GUARD must be an integer, got {raw!r}") from None
+    if guard < 1:
+        raise ValueError(f"SC_SIZE_GUARD must be positive, got {guard}")
+    if side > guard:
         raise SizeGuardError(
-            f"dense dimension {dim_total} exceeds the size guard {size_guard}; "
-            f"raise the guard explicitly (or via SC_SIZE_GUARD for the CLI) "
-            f"if you really want this"
+            f"dense dimension {side} exceeds the size guard {guard}; "
+            f"set SC_SIZE_GUARD to raise it if you really want this"
         )
 
 
@@ -57,7 +75,7 @@ def normalize_party_subset(subset, parties: int, *, proper: bool = False) -> tup
     return tuple(idx)
 
 
-def dense_from_sc(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
+def dense_from_sc(state: SCState) -> np.ndarray:
     """Explicit N^k x N^k density matrix of an SC state.
 
     Entry a_mn sits at (row, col) = (m repeated k times, n repeated k times)
@@ -65,18 +83,18 @@ def dense_from_sc(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> np
     """
     n, k = state.dim, state.parties
     total = n**k
-    check_size_guard(total, size_guard)
+    check_size_guard(total)
     rho = np.zeros((total, total), dtype=complex)
     idx = repeated_basis_index(np.arange(n), k, n)
     rho[np.ix_(idx, idx)] = state.a
     return rho
 
 
-def dense_pure(psi: PureSCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
+def dense_pure(psi: PureSCState) -> np.ndarray:
     """Explicit state vector (length N^k) of a pure SC state."""
     n, k = psi.dim, psi.parties
     total = n**k
-    check_size_guard(total, size_guard)
+    check_size_guard(total)
     vec = np.zeros(total, dtype=complex)
     vec[repeated_basis_index(np.arange(n), k, n)] = psi.amplitudes
     return vec
@@ -121,31 +139,27 @@ def _jacobi_rotation(a_pp: float, a_qq: float, a_pq: complex):
     return c, t * c, a_pq / ab
 
 
-def hermitian_eigen(m: np.ndarray, tol: float = 1e-10):
+def hermitian_eigen(m: np.ndarray):
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
     Sweeps zero out one off-diagonal entry at a time with a unitary 2x2
     rotation until the off-diagonal Frobenius norm falls below 1e-12
     times the matrix norm (at most 100 sweeps).
 
+    ``m`` must be square and Hermitian: no |m - m^dag| entry may exceed
+    ``states.DEFAULT_TOL``, the tolerance state validation uses.
+
     Returns ``(values, vectors)`` with eigenvalues ascending and matching
     eigenvector columns; reconstruction ``V diag(w) V^dag`` and column
     orthonormality hold to well below 1e-9 for desk-scale matrices.
-
-    Parameters
-    ----------
-    m : array
-        Square matrix, Hermitian within ``tol`` (checked).
-    tol : float
-        Largest allowed |m - m^dag| entry.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise NotHermitianError(
-            f"matrix is not Hermitian: worst defect {defect:.3e} exceeds {tol:.1e}",
+            f"matrix is not Hermitian: worst defect {defect:.3e} exceeds {DEFAULT_TOL:.1e}",
             violation=defect,
         )
     n = a.shape[0]
@@ -253,22 +267,26 @@ def trace_norm(m: np.ndarray) -> float:
     )
 
 
-def von_neumann_entropy(m: np.ndarray, log_base: float = 2.0, *, tol: float = 1e-8) -> float:
-    """Entropy -sum lambda log(lambda) of a density matrix, 0 log 0 = 0."""
+def von_neumann_entropy(m: np.ndarray, log_base: float = 2.0) -> float:
+    """Entropy -sum lambda log(lambda) of a density matrix, 0 log 0 = 0.
+
+    Eigenvalues below -``DENSITY_TOL`` raise :class:`NotPSDError`, a trace
+    off 1 by more than that raises ``ValueError``.
+    """
     vals, _ = hermitian_eigen(m)
-    if vals.min() < -tol:
+    if vals.min() < -DENSITY_TOL:
         raise NotPSDError(
-            f"matrix has eigenvalue {vals.min():.3e} below -{tol:.1e}",
+            f"matrix has eigenvalue {vals.min():.3e} below -{DENSITY_TOL:.1e}",
             violation=float(-vals.min()),
         )
-    if abs(vals.sum() - 1.0) > tol:
-        raise ValueError(f"trace {vals.sum():.6f} differs from 1 beyond {tol:.1e}")
+    if abs(vals.sum() - 1.0) > DENSITY_TOL:
+        raise ValueError(f"trace {vals.sum():.6f} differs from 1 beyond {DENSITY_TOL:.1e}")
     lam = vals[vals > 1e-15]
     return float(-(lam * np.log(lam)).sum() / np.log(log_base))
 
 
-def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray, log_base: float = 2.0) -> float:
-    """Relative entropy Tr[rho log rho - rho log sigma] from dense matrices.
+def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Relative entropy Tr[rho log2 rho - rho log2 sigma] from dense matrices.
 
     The first term is -S(rho) from :func:`von_neumann_entropy` (so rho
     must be a density matrix); sigma is eigendecomposed with the Jacobi
@@ -276,7 +294,7 @@ def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray, log_base: float =
     largest.  If rho has weight beyond 1e-9 outside that support the
     result is ``inf`` (the flagged value for a support violation).
     """
-    entropy = von_neumann_entropy(rho, log_base)
+    entropy = von_neumann_entropy(rho)
     vals_s, vecs_s = hermitian_eigen(sigma)
     support = vals_s > 1e-12 * max(float(vals_s[-1]), 0.0)
     overlaps = np.einsum("ij,jk,ki->i", vecs_s.conj().T, rho, vecs_s).real
@@ -284,7 +302,7 @@ def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray, log_base: float =
     if leakage > 1e-9:
         return float("inf")
     tr_r_log_s = float((overlaps[support] * np.log(vals_s[support])).sum())
-    return -entropy - tr_r_log_s / float(np.log(log_base))
+    return -entropy - tr_r_log_s / float(np.log(2.0))
 
 
 def su_generators(d: int) -> np.ndarray:

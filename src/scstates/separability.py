@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .oracle import DEFAULT_SIZE_GUARD, repeated_basis_index
+from .oracle import repeated_basis_index
 from .states import SCState
 
 #: Default threshold on scaled dense traces / coefficient moduli for
@@ -130,10 +130,10 @@ class Witness:
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def to_dense(self, *, size_guard: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Explicit matrix form, for oracle cross-checks."""
         total = self.total_dim
-        oracle.check_size_guard(total, size_guard)
+        oracle.check_size_guard(total)
         w = np.zeros((total, total), dtype=complex)
         for r, c, v in self.terms:
             w[r, c] += v
@@ -259,9 +259,7 @@ def _pair_position(d: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (d - 1) + j * d - j * (j + 1) // 2 + (k - j - 1)
 
 
-def bloch_decomposition(
-    state: SCState, split: int = 1, *, size_guard: int = DEFAULT_SIZE_GUARD
-) -> BlochDecomposition:
+def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     """Compute the Bloch vectors and correlation tensor across a split.
 
     Closed form: rho = sum_mn a_mn |m_A m_B><n_A n_B|, where level m sits at
@@ -278,7 +276,7 @@ def bloch_decomposition(
     if int(split) != split or not 1 <= split <= k - 1:
         raise ValueError(f"split must be an integer in [1, {k - 1}], got {split}")
     split = int(split)
-    oracle.check_size_guard(n**k, size_guard)
+    oracle.check_size_guard(n**k)
     dim_first = n**split
     dim_rest = n ** (k - split)
     a = state.a

@@ -95,7 +95,7 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
-def state_from_dict(data, **tols) -> SCState:
+def state_from_dict(data) -> SCState:
     """Validate the {"k", "N", "a"} state layout and build the state.
 
     Rejects ragged rows, malformed complex pairs, and non-finite numbers
@@ -126,7 +126,7 @@ def state_from_dict(data, **tols) -> SCState:
             re = _require_number(entry[0], f'"a"[{m}][{j}][0]')
             im = _require_number(entry[1], f'"a"[{m}][{j}][1]')
             a[m, j] = complex(re, im)
-    return new_sc_state(k, n, a, **tols)
+    return new_sc_state(k, n, a)
 
 
 def _shape_word(obj) -> str:
@@ -137,10 +137,10 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
 
-def loads_state(text: str, **tols) -> SCState:
+def loads_state(text: str) -> SCState:
     """Parse a canonical state JSON document (see :func:`state_from_dict`)."""
     data = json.loads(text, parse_constant=_reject_constant)
-    return state_from_dict(data, **tols)
+    return state_from_dict(data)
 
 
 def witness_to_dict(w: Witness) -> dict:

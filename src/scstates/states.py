@@ -22,6 +22,9 @@ from .errors import (
     UnsupportedDimensionError,
 )
 
+#: Validation tolerance: on Hermiticity, unit trace and the smallest
+#: eigenvalue of a coefficient matrix, and on the norm of an amplitude
+#: vector.
 DEFAULT_TOL = 1e-10
 
 #: Eigenvalues below this are dropped when building spectral ensembles.
@@ -34,17 +37,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_coeff_matrix(
-    a,
-    *,
-    tol_herm: float = DEFAULT_TOL,
-    tol_trace: float = DEFAULT_TOL,
-    tol_psd: float = DEFAULT_TOL,
-) -> np.ndarray:
+def validate_coeff_matrix(a) -> np.ndarray:
     """Validate a candidate coefficient matrix and return a clean copy.
 
-    Checks, in order: finite entries, Hermiticity within ``tol_herm``,
-    unit trace within ``tol_trace``, and smallest eigenvalue >= -``tol_psd``.
+    Checks, in order: finite entries, then Hermiticity, unit trace and
+    smallest eigenvalue >= 0, each within ``DEFAULT_TOL``.
     The accepted matrix is symmetrized ((a + a^dag)/2) so downstream closed
     forms see an exactly Hermitian array, and returned write-protected.
 
@@ -62,18 +59,18 @@ def validate_coeff_matrix(
         raise ValueError("coefficient matrix contains non-finite entries")
 
     herm_defect = float(np.abs(a - a.conj().T).max())
-    if herm_defect > tol_herm:
+    if herm_defect > DEFAULT_TOL:
         raise NotHermitianError(
             f"matrix is not Hermitian: worst |a_mn - conj(a_nm)| = {herm_defect:.3e} "
-            f"exceeds {tol_herm:.1e}",
+            f"exceeds {DEFAULT_TOL:.1e}",
             violation=herm_defect,
         )
     h = (a + a.conj().T) / 2.0
 
     trace_defect = float(abs(np.trace(h).real - 1.0))
-    if trace_defect > tol_trace:
+    if trace_defect > DEFAULT_TOL:
         raise NotUnitTraceError(
-            f"trace differs from 1 by {trace_defect:.3e} (tolerance {tol_trace:.1e})",
+            f"trace differs from 1 by {trace_defect:.3e} (tolerance {DEFAULT_TOL:.1e})",
             violation=trace_defect,
         )
 
@@ -81,10 +78,10 @@ def validate_coeff_matrix(
         eigmin = float(np.linalg.eigvalsh(h).min())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on tiny inputs
         raise EigenConvergenceError(f"eigensolver failed during validation: {exc}") from exc
-    if eigmin < -tol_psd:
+    if eigmin < -DEFAULT_TOL:
         raise NotPSDError(
             f"matrix is not positive semidefinite: min eigenvalue {eigmin:.3e} "
-            f"below -{tol_psd:.1e}",
+            f"below -{DEFAULT_TOL:.1e}",
             violation=float(-eigmin),
         )
     return _frozen(h)
@@ -159,15 +156,7 @@ class Ensemble:
         return a
 
 
-def new_sc_state(
-    parties: int,
-    dim: int,
-    a,
-    *,
-    tol_herm: float = DEFAULT_TOL,
-    tol_trace: float = DEFAULT_TOL,
-    tol_psd: float = DEFAULT_TOL,
-) -> SCState:
+def new_sc_state(parties: int, dim: int, a) -> SCState:
     """Build a validated :class:`SCState` from a coefficient matrix.
 
     Validation is idempotent: feeding an accepted state's matrix back in
@@ -180,13 +169,10 @@ def new_sc_state(
     arr = np.asarray(a, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {arr.shape}")
-    validated = validate_coeff_matrix(
-        arr, tol_herm=tol_herm, tol_trace=tol_trace, tol_psd=tol_psd
-    )
-    return SCState(parties=int(parties), a=validated)
+    return SCState(parties=int(parties), a=validate_coeff_matrix(arr))
 
 
-def new_pure_sc_state(parties: int, amplitudes, *, tol: float = DEFAULT_TOL) -> PureSCState:
+def new_pure_sc_state(parties: int, amplitudes) -> PureSCState:
     """Build a validated :class:`PureSCState` from an amplitude vector."""
     if int(parties) != parties or parties < 2:
         raise ValueError(f"party count must be an integer >= 2, got {parties}")
@@ -196,9 +182,9 @@ def new_pure_sc_state(parties: int, amplitudes, *, tol: float = DEFAULT_TOL) -> 
     if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
         raise ValueError("amplitudes contain non-finite entries")
     norm_defect = float(abs(np.vdot(c, c).real - 1.0))
-    if norm_defect > tol:
+    if norm_defect > DEFAULT_TOL:
         raise NotUnitTraceError(
-            f"squared norm differs from 1 by {norm_defect:.3e} (tolerance {tol:.1e})",
+            f"squared norm differs from 1 by {norm_defect:.3e} (tolerance {DEFAULT_TOL:.1e})",
             violation=norm_defect,
         )
     return PureSCState(parties=int(parties), amplitudes=c)

@@ -16,7 +16,6 @@ on all of them together from the witness's sparse terms.
 import numpy as np
 
 from . import measures, oracle, separability, slocc
-from .oracle import DEFAULT_SIZE_GUARD
 from .states import SCState, random_pure_sc_state, random_sc_state
 
 #: Checks compared at a looser tolerance than the rest of the suite
@@ -30,9 +29,9 @@ def _all_proper_subsets(parties: int):
         yield [p for p in full if mask & (1 << (p - 1))]
 
 
-def pt_spectrum_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> float:
+def pt_spectrum_residual(state: SCState) -> float:
     """Closed-form PT spectrum vs dense eigenvalues, over ALL proper subsets."""
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
+    rho = oracle.dense_from_sc(state)
     dims = [state.dim] * state.parties
     expected = separability.pt_spectrum(state).eigenvalues()
     worst = 0.0
@@ -43,42 +42,40 @@ def pt_spectrum_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD
     return worst
 
 
-def realignment_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> float:
+def realignment_residual(state: SCState) -> float:
     """Sum-of-moduli closed form vs trace norm of the realigned dense matrix."""
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
+    rho = oracle.dense_from_sc(state)
     n, k = state.dim, state.parties
     r = oracle.realign(rho, n, n ** (k - 1))
     dense = oracle.trace_norm(r)
     return abs(dense - separability.realignment_norm(state))
 
 
-def negativity_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> float:
+def negativity_residual(state: SCState) -> float:
     """Closed-form negativity vs (sum of |dense PT eigenvalues| - 1)/2.
 
     The PT is Hermitian, so its trace norm is read off its own Jacobi
     spectrum.
     """
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
+    rho = oracle.dense_from_sc(state)
     dims = [state.dim] * state.parties
     vals, _ = oracle.hermitian_eigen(oracle.partial_transpose(rho, [1], dims))
     dense = 0.5 * (float(np.abs(vals).sum()) - 1.0)
     return abs(dense - measures.negativity(state))
 
 
-def relative_entropy_residual(
-    state: SCState, log_base: float = 2.0, *, size_guard: int = DEFAULT_SIZE_GUARD
-) -> float:
-    """N x N relative-entropy shortcut vs the dense two-matrix computation."""
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
+def relative_entropy_residual(state: SCState) -> float:
+    """N x N relative-entropy shortcut vs the dense two-matrix computation, in bits."""
+    rho = oracle.dense_from_sc(state)
     sigma_state = measures.optimal_separable(state).as_sc_state(state.parties)
-    sigma = oracle.dense_from_sc(sigma_state, size_guard=size_guard)
-    dense = oracle.relative_entropy_dense(rho, sigma, log_base)
-    return abs(dense - measures.relative_entropy(state, log_base))
+    sigma = oracle.dense_from_sc(sigma_state)
+    dense = oracle.relative_entropy_dense(rho, sigma)
+    return abs(dense - measures.relative_entropy(state))
 
 
-def state_spectrum_residual(state: SCState, *, size_guard: int = DEFAULT_SIZE_GUARD) -> float:
+def state_spectrum_residual(state: SCState) -> float:
     """Dense spectrum of rho vs coefficient-matrix spectrum plus padding zeros."""
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
+    rho = oracle.dense_from_sc(state)
     vals, _ = oracle.hermitian_eigen(rho)
     small = np.linalg.eigvalsh(state.a)
     expected = np.sort(np.concatenate([small, np.zeros(vals.size - small.size)]))
@@ -119,13 +116,7 @@ def random_product_mixture(parties: int, dim: int, rng, samples: int):
 _SAMPLE_BLOCK_BYTES = 1 << 20
 
 
-def witness_residuals(
-    state: SCState,
-    rng,
-    separable_samples: int = 500,
-    *,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-):
+def witness_residuals(state: SCState, rng, separable_samples: int = 500):
     """(closed-vs-dense residual on Tr[W rho], min Tr[W sigma] over samples).
 
     The first number compares both evaluation routes against the exact
@@ -147,7 +138,7 @@ def witness_residuals(
     rows = np.array([r for r, _, _ in w.terms], dtype=int)
     cols = np.array([c for _, c, _ in w.terms], dtype=int)
     values = np.array([v for _, _, v in w.terms], dtype=complex)
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
+    rho = oracle.dense_from_sc(state)
     dense = float((values * rho[cols, rows]).sum().real)
     residual = max(abs(closed - target), abs(dense - target))
     if separable_samples < 1:
@@ -194,11 +185,7 @@ def _dense_from_bloch(b: separability.BlochDecomposition) -> np.ndarray:
 
 
 def bloch_residuals(
-    state: SCState,
-    splits=None,
-    *,
-    tol: float = separability.DEFAULT_SEP_TOL,
-    size_guard: int = DEFAULT_SIZE_GUARD,
+    state: SCState, splits=None, *, tol: float = separability.DEFAULT_SEP_TOL
 ) -> float:
     """Closed-form Bloch decomposition vs the dense state, across bipartitions.
 
@@ -211,18 +198,19 @@ def bloch_residuals(
     verdict match the off-diagonal test.  Disagreement on the verdict
     returns infinity; otherwise the worst numeric residual.  The SU(d)
     generators hold about d^4 entries, so a split with max(M, R)^2 above
-    ``size_guard`` raises :class:`SizeGuardError` before any is built.
+    the size guard (:func:`scstates.oracle.check_size_guard`) raises
+    :class:`SizeGuardError` before any is built.
     """
     if splits is None:
         splits = _default_splits(state.parties)
     sep = separability.is_fully_separable(state, tol)
-    rho = oracle.dense_from_sc(state, size_guard=size_guard)
+    rho = oracle.dense_from_sc(state)
     worst = 0.0
     for split in splits:
-        b = separability.bloch_decomposition(state, split, size_guard=size_guard)
+        b = separability.bloch_decomposition(state, split)
         m = state.dim**split
         r_dim = state.dim ** (state.parties - split)
-        oracle.check_size_guard(max(m, r_dim) ** 2, size_guard)
+        oracle.check_size_guard(max(m, r_dim) ** 2)
         worst = max(worst, float(np.abs(b.r[m - 1 :]).max(initial=0.0)))
         worst = max(worst, float(np.abs(b.s[r_dim - 1 :]).max(initial=0.0)))
         worst = max(worst, float(np.abs(b.t[: m - 1, r_dim - 1 :]).max(initial=0.0)))
@@ -254,24 +242,27 @@ def slocc_residual(psi) -> float:
 
 
 def separability_votes(
-    state: SCState,
-    *,
-    tol: float = separability.DEFAULT_SEP_TOL,
-    splits=None,
-    size_guard: int = DEFAULT_SIZE_GUARD,
+    state: SCState, *, tol: float = separability.DEFAULT_SEP_TOL, splits=None
 ) -> dict:
-    """The four independent separability verdicts, for agreement tests."""
+    """The four independent separability verdicts, for agreement tests.
+
+    Each vote compares a largest coherence, not a sum of them, with
+    ``tol``, so all four agree also at the tolerance boundary.  The
+    realigned SC matrix (party 1 | rest) is a weighted permutation whose
+    singular values are the N^2 moduli |a_mn| (Chen & Wu, Quantum Inf.
+    Comput. 3, 193 (2003)); the realignment vote is on the largest one
+    with m != n, not on the trace-norm excess 2 sum_{m<n} |a_mn|.
+    """
     if splits is None:
         splits = _default_splits(state.parties)
     corner = all(
-        separability.check_corollary2(
-            separability.bloch_decomposition(state, s, size_guard=size_guard), tol
-        )
+        separability.check_corollary2(separability.bloch_decomposition(state, s), tol)
         for s in splits
     )
+    singular = np.abs(state.a)  # the realigned matrix's singular values, by (m, n)
     return {
         "off_diagonal": separability.is_fully_separable(state, tol),
-        "realignment": abs(separability.realignment_norm(state) - 1.0) <= tol,
+        "realignment": float(singular[~np.eye(state.dim, dtype=bool)].max()) <= tol,
         "bloch_corner": corner,
         "pt_nonnegative": separability.pt_spectrum(state).min_eigenvalue() >= -tol,
     }
@@ -284,7 +275,6 @@ def state_residuals(
     splits=None,
     *,
     tol: float = separability.DEFAULT_SEP_TOL,
-    size_guard: int = DEFAULT_SIZE_GUARD,
 ):
     """(residual per check, min Tr[W sigma]) for every oracle check on one state.
 
@@ -293,14 +283,14 @@ def state_residuals(
     ``rng`` is drawn from only by the witness's separable samples.  The
     Bloch check runs first, so a split its size guard refuses fails fast.
     """
-    bloch = bloch_residuals(state, splits, tol=tol, size_guard=size_guard)
-    w_res, w_sep = witness_residuals(state, rng, separable_samples, size_guard=size_guard)
+    bloch = bloch_residuals(state, splits, tol=tol)
+    w_res, w_sep = witness_residuals(state, rng, separable_samples)
     residuals = {
-        "pt_spectrum": pt_spectrum_residual(state, size_guard=size_guard),
-        "realignment": realignment_residual(state, size_guard=size_guard),
-        "negativity": negativity_residual(state, size_guard=size_guard),
-        "relative_entropy": relative_entropy_residual(state, size_guard=size_guard),
-        "state_spectrum": state_spectrum_residual(state, size_guard=size_guard),
+        "pt_spectrum": pt_spectrum_residual(state),
+        "realignment": realignment_residual(state),
+        "negativity": negativity_residual(state),
+        "relative_entropy": relative_entropy_residual(state),
+        "state_spectrum": state_spectrum_residual(state),
         "witness": w_res,
         "bloch": bloch,
     }
@@ -346,9 +336,6 @@ def run_suite(
     samples: int = 50,
     seed=0,
     tol: float = separability.DEFAULT_SEP_TOL,
-    *,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-    separable_samples: int = 500,
 ) -> dict:
     """Full closed-form-vs-oracle validation on random states.
 
@@ -358,16 +345,14 @@ def run_suite(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    oracle.check_size_guard(dim**parties, size_guard)
+    oracle.check_size_guard(dim**parties)
     rng = np.random.default_rng(seed)
     worst = {}
     worst_separable = np.inf
 
     for _ in range(samples):
         state = random_sc_state(parties, dim, rng)
-        residuals, w_sep = state_residuals(
-            state, rng, separable_samples, tol=tol, size_guard=size_guard
-        )
+        residuals, w_sep = state_residuals(state, rng, tol=tol)
         worst_separable = min(worst_separable, w_sep)
         support = int(rng.integers(2, dim + 1))
         psi = random_pure_sc_state(parties, dim, rng, support_size=support)

@@ -97,9 +97,11 @@ def test_dense_pure_vector():
     assert np.abs(np.delete(vec, [0, 7])).max() == 0.0
 
 
-def test_size_guard_trips():
+def test_size_guard_trips(monkeypatch):
+    monkeypatch.setenv("SC_SIZE_GUARD", "80")
     with pytest.raises(SizeGuardError):
-        dense_from_sc(pure_to_mixed(ghz(4, 3)), size_guard=80)
+        dense_from_sc(pure_to_mixed(ghz(4, 3)))
+    monkeypatch.delenv("SC_SIZE_GUARD")
     with pytest.raises(SizeGuardError):
         dense_from_sc(pure_to_mixed(ghz(6, 4)))  # 4096 > default guard
 
@@ -200,6 +202,16 @@ def test_realigned_sc_state_trace_norm():
     st = new_sc_state(3, 2, [[2 / 3, 1 / 3], [1 / 3, 1 / 3]])
     r = realign(dense_from_sc(st), 2, 4)
     assert trace_norm(r) == pytest.approx(5 / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 3), (3, 3), (3, 2), (4, 2)])
+def test_realigned_sc_state_singular_values_are_the_moduli(parties, dim):
+    # a weighted permutation: its N^2 singular values are the |a_mn|
+    st = random_sc_state(parties, dim, 10 * parties + dim)
+    r = realign(dense_from_sc(st), dim, dim ** (parties - 1))
+    sv = np.linalg.svd(r, compute_uv=False)
+    assert sv.size == dim * dim
+    assert np.abs(sv - np.sort(np.abs(st.a).ravel())[::-1]).max() <= 1e-12
 
 
 def test_trace_norm_basics():

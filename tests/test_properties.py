@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scstates import (
@@ -28,6 +28,7 @@ from scstates import (
     witness_expectation,
 )
 from scstates.oracle import repeated_basis_index
+from scstates.verify import separability_votes
 
 DIGITS = "0123456789abcdef"
 
@@ -74,14 +75,27 @@ def boundary_states(draw):
     return new_sc_state(parties, dim, a), tol
 
 
+def _coherent(parties, diagonal, pairs):
+    a = np.diag(diagonal).astype(complex)
+    for (m, n), value in pairs.items():
+        a[m, n] = value
+        a[n, m] = np.conj(value)
+    return new_sc_state(parties, len(diagonal), a), 1e-9
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=boundary_states())
+@example(case=_coherent(3, [0.5, 0.5], {(0, 1): 0.6e-9}))
+@example(case=_coherent(3, [0.5, 0.5], {(0, 1): 0.9e-9}))
+@example(case=_coherent(3, [0.4, 0.3, 0.3], {(0, 1): 0.8e-9, (1, 2): 0.8e-9}))
 def test_bloch_vote_agrees_at_the_tolerance_boundary(case):
     state, tol = case
     verdict = is_fully_separable(state, tol)
     assert (pt_spectrum(state).min_eigenvalue() >= -tol) == verdict
     for split in range(1, state.parties):
         assert check_corollary2(bloch_decomposition(state, split), tol) == verdict
+    votes = separability_votes(state, tol=tol, splits=range(1, state.parties))
+    assert set(votes.values()) == {verdict}, votes
 
 
 sc_states = st.builds(
@@ -109,9 +123,7 @@ def test_concurrence_bounds_bracket_the_exact_value(state):
     rep = concurrence(state)
     assert 0.0 <= rep.lower <= rep.upper
     if rep.exact is not None:
-        # a rank-one N = 2 lower bound is attained; its separate formula
-        # can round an ulp above the pure closed form
-        assert rep.lower <= rep.exact + 1e-12 and rep.exact <= rep.upper
+        assert rep.lower <= rep.exact <= rep.upper
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -156,7 +156,9 @@ def test_bloch_residuals_guard_the_generator_tensors(monkeypatch):
 
     monkeypatch.setattr(oracle, "su_generators", refuse)
     state = random_sc_state(3, 4, 13)  # split 1: R = 16, side 16^2 = 256
+    monkeypatch.setenv("SC_SIZE_GUARD", "255")
     with pytest.raises(SizeGuardError):
-        verify.bloch_residuals(state, [1], size_guard=255)
+        verify.bloch_residuals(state, [1])
+    monkeypatch.setenv("SC_SIZE_GUARD", "256")
     with pytest.raises(AssertionError):
-        verify.bloch_residuals(state, [1], size_guard=256)
+        verify.bloch_residuals(state, [1])
