@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, measures, separability, slocc, verify
-from .errors import SizeGuardError, ValidationError
+from .errors import SizeGuardError
 from .separability import DEFAULT_SEP_TOL
 from .serialize import canonical_dumps, dumps_state, loads_state
-from .states import PureSCState, new_sc_state, random_sc_state
+from .states import PureSCState, coeff_rank, new_sc_state, random_sc_state
 
 _LOG_BASES = {"2": 2.0, "e": float(np.e), "10": 10.0}
 
@@ -50,15 +50,13 @@ def _load_state_file(path: str):
         raise ValueError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValidationError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _slocc_summary(state):
     """SLOCC classification for rank-one (pure) inputs, else None."""
-    if measures._coeff_rank(state.a) != 1:
+    if coeff_rank(state.a) != 1:
         return None
     _, vecs = np.linalg.eigh(state.a)
     cls = slocc.classify_pure(PureSCState(state.parties, vecs[:, -1]))
@@ -275,10 +273,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive catch-all

@@ -14,12 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import EigenConvergenceError
-from .separability import realignment_norm
-from .states import SCState, new_sc_state
-
-#: Eigenvalues of the coefficient matrix below this count as zero when
-#: determining rank (matches the spectral-ensemble drop threshold).
-RANK_TOL = 1e-12
+from .states import RANK_TOL, SCState, coeff_rank, new_sc_state
 
 #: Eigenvalues/populations below this are treated as exact zeros in
 #: entropy sums (0 * log 0 = 0 convention).
@@ -112,17 +107,10 @@ class RoofResult(NamedTuple):
     converged: bool
 
 
-def _coeff_rank(a: np.ndarray) -> int:
-    vals = np.linalg.eigvalsh(a)
-    return int((vals > RANK_TOL).sum())
-
-
 def roof_optimizer(
     state: SCState,
     restarts: int = 16,
     seed=None,
-    *,
-    multipartite: bool = False,
 ) -> RoofResult:
     """Minimize the average pure concurrence over ensemble decompositions.
 
@@ -130,8 +118,8 @@ def roof_optimizer(
     the rows of C = U B, for U any L x rank isometry, are an unnormalized
     ensemble of a, and every ensemble of size L arises this way.  The
     average concurrence is f(C) = sum_i w sqrt(S_i), with S_i =
-    sum_{m<n} |C_im C_in|^2, w = 2 for the bipartite objective and
-    w = sqrt(2k) for the k-party one.
+    sum_{m<n} |C_im C_in|^2 and w = 2 (the bipartite objective; the
+    k-party one is it times sqrt(k/2)).
 
     Minimization is conjugate-gradient descent over the ensembles of size
     L = 2 * rank, all starts batched in one (starts, L, N) tensor.  A step
@@ -165,7 +153,7 @@ def roof_optimizer(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     a = state.a
-    weight = np.sqrt(2.0 * state.parties) if multipartite else 2.0
+    weight = 2.0
     vals, vecs = np.linalg.eigh(a)
     keep = vals > RANK_TOL
     rank = int(keep.sum())
@@ -274,7 +262,7 @@ def concurrence(
     roof_converged = None
 
     exact = None
-    if _coeff_rank(a) == 1:
+    if coeff_rank(a) == 1:
         vals, vecs = np.linalg.eigh(a)
         exact = concurrence_pure_bipartite(vecs[:, -1] * np.sqrt(vals[-1]))
         method = ConcurrenceMethod.PURE_CLOSED_FORM

@@ -267,8 +267,8 @@ def trace_norm(m: np.ndarray) -> float:
     )
 
 
-def von_neumann_entropy(m: np.ndarray, log_base: float = 2.0) -> float:
-    """Entropy -sum lambda log(lambda) of a density matrix, 0 log 0 = 0.
+def von_neumann_entropy(m: np.ndarray) -> float:
+    """Entropy -sum lambda log2(lambda) of a density matrix, 0 log 0 = 0.
 
     Eigenvalues below -``DENSITY_TOL`` raise :class:`NotPSDError`, a trace
     off 1 by more than that raises ``ValueError``.
@@ -282,7 +282,7 @@ def von_neumann_entropy(m: np.ndarray, log_base: float = 2.0) -> float:
     if abs(vals.sum() - 1.0) > DENSITY_TOL:
         raise ValueError(f"trace {vals.sum():.6f} differs from 1 beyond {DENSITY_TOL:.1e}")
     lam = vals[vals > 1e-15]
-    return float(-(lam * np.log(lam)).sum() / np.log(log_base))
+    return float(-(lam * np.log(lam)).sum() / np.log(2.0))
 
 
 def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray) -> float:

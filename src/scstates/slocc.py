@@ -50,16 +50,16 @@ class FilterOperator:
         return np.flatnonzero(self.diagonal)
 
 
-def classify_pure(psi: PureSCState, tol: float = SUPPORT_TOL) -> SloccClass:
+def classify_pure(psi: PureSCState) -> SloccClass:
     """Classify by support size: one nonzero amplitude means product state."""
-    t = int((np.abs(psi.amplitudes) > tol).sum())
+    t = int((np.abs(psi.amplitudes) > SUPPORT_TOL).sum())
     if t == 0:
         raise ValueError("state has no support above the tolerance")
     kind = SloccKind.FULLY_SEPARABLE if t == 1 else SloccKind.GHZ_CLASS
     return SloccClass(kind=kind, t=t)
 
 
-def build_filter(psi: PureSCState, tol: float = SUPPORT_TOL) -> FilterOperator:
+def build_filter(psi: PureSCState) -> FilterOperator:
     """Construct the diagonal filter mapping psi to the uniform state.
 
     On the support, f_m = (sqrt(t) * c_m)^(-1/k) with the principal
@@ -68,13 +68,13 @@ def build_filter(psi: PureSCState, tol: float = SUPPORT_TOL) -> FilterOperator:
     Entry values are only meaningful up to k-th roots of unity; the
     contract is the action under apply_filter, not the entries.
     """
-    cls = classify_pure(psi, tol)
+    cls = classify_pure(psi)
     if cls.t < 2:
         raise ValueError("state is not entangled: support size < 2")
     c = psi.amplitudes
     k = psi.parties
     diagonal = np.zeros(c.size, dtype=complex)
-    on = np.abs(c) > tol
+    on = np.abs(c) > SUPPORT_TOL
     diagonal[on] = (np.sqrt(cls.t) * c[on]) ** (-1.0 / k)
     diagonal.flags.writeable = False
     return FilterOperator(diagonal=diagonal)

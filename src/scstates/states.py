@@ -27,8 +27,14 @@ from .errors import (
 #: vector.
 DEFAULT_TOL = 1e-10
 
-#: Eigenvalues below this are dropped when building spectral ensembles.
-SPECTRAL_DROP_TOL = 1e-12
+#: Eigenvalues of a coefficient matrix count toward its rank, and stay in
+#: its spectral ensemble, only when they are above this.
+RANK_TOL = 1e-12
+
+
+def coeff_rank(a: np.ndarray) -> int:
+    """Number of eigenvalues of the Hermitian matrix ``a`` above ``RANK_TOL``."""
+    return int((np.linalg.eigvalsh(a) > RANK_TOL).sum())
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -215,16 +221,15 @@ def spectral_ensemble(state: SCState) -> Ensemble:
     """Realize a state by the eigendecomposition of its coefficient matrix.
 
     Components are (eigenvalue, eigenvector) pairs ordered by descending
-    weight; eigenvalues below ``SPECTRAL_DROP_TOL`` are dropped.
+    weight; eigenvalues at or below ``RANK_TOL`` are dropped, so there are
+    ``coeff_rank(state.a)`` components.
     """
     try:
         lam, vec = np.linalg.eigh(state.a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
     comps = []
-    for i in range(lam.size - 1, -1, -1):  # descending
-        if lam[i] < SPECTRAL_DROP_TOL:
-            continue
+    for i in np.flatnonzero(lam > RANK_TOL)[::-1]:  # descending
         comps.append(
             (float(lam[i]), PureSCState(parties=state.parties, amplitudes=vec[:, i]))
         )

@@ -7,10 +7,11 @@ disagreement.  ``state_residuals`` runs them all on one state (``analyze
 --oracle``), ``run_suite`` over random states (``oracle-verify``), and
 ``check_entries`` applies the one tolerance rule to either result.
 
-The witness is also checked on random fully separable states:
-``random_product_mixture`` draws a whole batch of product-state mixtures
-at once as local factors, and ``witness_residuals`` evaluates Tr[W sigma]
-on all of them together from the witness's sparse terms.
+The witness is also checked on random fully separable states.  Tr[W sigma]
+is linear in sigma, so its minimum over them is reached on product pure
+states: ``random_product_mixture`` draws a whole batch of those at once as
+local factors, and ``witness_residuals`` evaluates <v|W|v> on all of them
+together from the witness's sparse terms.
 """
 
 import numpy as np
@@ -83,32 +84,16 @@ def state_spectrum_residual(state: SCState) -> float:
 
 
 def random_product_mixture(parties: int, dim: int, rng, samples: int):
-    """``samples`` random fully separable density sources, drawn in one call.
+    """``samples`` random product pure states, drawn with one generator call.
 
-    Each sample is a mixture of 1..4 product pure states.  Returns
-    ``(weights, local)``: weights of shape (samples, 4) and unit local
-    factors of shape (samples, 4, parties, dim), both zero beyond each
-    sample's component count.  Component c of sample s is the product
-    vector local[s, c, 0] (x) ... (x) local[s, c, parties - 1], so
-    sum_c w_sc |v_sc><v_sc| is separable by construction; the dim**parties
-    vectors are never built.
-
-    Per sample, in order: ``rng.integers`` for the component count,
-    ``rng.dirichlet`` for the weights, and one ``rng.standard_normal``
-    call for the real and imaginary parts of every local factor.
+    Returns unit local factors of shape (samples, parties, dim); sample s
+    is the product vector local[s, 0] (x) ... (x) local[s, parties - 1],
+    which is never built.  The real and imaginary parts come from one
+    ``rng.standard_normal((samples, parties, 2, dim))`` call.
     """
-    max_components = 4
-    weights = np.zeros((samples, max_components))
-    parts = np.zeros((samples, max_components, parties, 2, dim))
-    for s in range(samples):
-        count = int(rng.integers(1, max_components + 1))
-        weights[s, :count] = rng.dirichlet(np.ones(count))
-        parts[s, :count] = rng.standard_normal(2 * count * parties * dim).reshape(
-            count, parties, 2, dim
-        )
+    parts = rng.standard_normal((samples, parties, 2, dim))
     local = parts[..., 0, :] + 1j * parts[..., 1, :]
-    norms = np.sqrt((parts**2).sum(axis=-1).sum(axis=-1))[..., None]
-    return weights, local / np.where(norms > 0.0, norms, 1.0)
+    return local / np.sqrt((parts**2).sum(axis=(-2, -1)))[..., None]
 
 
 #: Bytes of product-vector entries one block of samples may hold in
@@ -123,12 +108,15 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500):
     target -sum_{m<n}|a_mn|: the closed form on the coefficients and the
     sum of v rho[c, r] over the witness's sparse terms (r, c, v) against
     the dense rho.  The second must stay >= -tol for the witness
-    to be valid on separable states.  It draws all ``separable_samples``
-    mixtures sigma with one ``random_product_mixture`` call and evaluates
-    Tr[W sigma] = sum_(r,c,v) v sigma[c, r] through the sparse terms,
-    with each product-vector entry the product of the local factors at
-    the index's base-N digits (no dense sigma, no SC shortcut).  An empty
-    witness gives 0.0 and no samples give inf.
+    to be valid on separable states.  Tr[W sigma] is linear in sigma, so
+    its minimum over the fully separable states is reached on product
+    pure states (a mixture never reads below its lowest component).  It
+    draws ``separable_samples`` product vectors v with one
+    ``random_product_mixture`` call and evaluates <v|W|v>, the sum of
+    x v[c] conj(v[r]) over the terms (r, c, x), with each entry of v the
+    product of the local factors at the index's base-N digits (no dense
+    sigma, no SC shortcut).  An empty witness gives 0.0 and no samples
+    give inf.
     """
     w = separability.build_witness(state)
     target = -float(
@@ -145,19 +133,17 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500):
         return residual, float("inf")
 
     k, n = state.parties, state.dim
-    weights, local = random_product_mixture(k, n, rng, separable_samples)
+    local = random_product_mixture(k, n, rng, separable_samples)
     index = np.concatenate([rows, cols])
     digits = (index // n ** np.arange(k - 1, -1, -1)[:, None]) % n
-    block = max(1, _SAMPLE_BLOCK_BYTES // (16 * local.shape[1] * max(1, index.size)))
+    block = max(1, _SAMPLE_BLOCK_BYTES // (16 * max(1, index.size)))
     worst_separable = np.inf
     for s in range(0, separable_samples, block):
-        vec = local[s : s + block, :, 0, digits[0]]
+        vec = local[s : s + block, 0, digits[0]]
         for p in range(1, k):
-            vec *= local[s : s + block, :, p, digits[p]]
-        vec_r, vec_c = vec[..., : rows.size], vec[..., rows.size :]
-        # sigma[s, t] = sigma_s[cols[t], rows[t]]
-        sigma = np.einsum("sm,smt->st", weights[s : s + block], vec_c * vec_r.conj())
-        worst_separable = min(worst_separable, float((sigma @ values).real.min()))
+            vec *= local[s : s + block, p, digits[p]]
+        expect = (vec[:, rows.size :] * vec[:, : rows.size].conj()) @ values
+        worst_separable = min(worst_separable, float(expect.real.min()))
     return residual, float(worst_separable)
 
 

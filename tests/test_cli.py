@@ -1,11 +1,12 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scstates import cli, is_fully_separable, oracle, verify
+from scstates import cli, is_fully_separable, oracle, separability, verify
 from scstates.serialize import canonical_dumps, dumps_state, loads_state
 from scstates.states import ghz, new_sc_state, pure_to_mixed
 
@@ -238,13 +239,13 @@ def test_random_is_deterministic_and_analyzable(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, *args, "--output-dir", str(tmp_path / "b"))
     files_b = json.loads(stdout)["files"]
     for fa, fb in zip(files_a, files_b):
-        assert open(fa).read() == open(fb).read()
+        assert Path(fa).read_text() == Path(fb).read_text()
     code, stdout, _ = run_cli(
         capsys, "random", "--k", "3", "--N", "2", "--seed", "12",
         "--output-dir", str(tmp_path / "c"),
     )
     other = json.loads(stdout)["files"][0]
-    assert open(other).read() != open(files_a[0]).read()
+    assert Path(other).read_text() != Path(files_a[0]).read_text()
     for path in files_a:
         code, stdout, _ = run_cli(capsys, "analyze", path)
         assert code == 0
@@ -301,6 +302,43 @@ def test_oracle_verify_non_finite_residual_exits_3(capsys, monkeypatch):
     rel = checks["relative_entropy"]
     assert rel == {"max_residual": None, "tol": 1e-8, "pass": False}
     assert checks["negativity"]["pass"] is True
+
+
+def _weaken_witness(monkeypatch):
+    """Patch ``build_witness`` to scale its diagonal terms by 0.8.
+
+    Those terms lie off the state's support, so Tr[W rho] is unchanged, but
+    the weakened witness reads negative on some product states.
+    """
+    original = separability.build_witness
+
+    def weakened(state):
+        w = original(state)
+        terms = tuple((r, c, 0.8 * v if r == c else v) for r, c, v in w.terms)
+        return separability.Witness(dims=w.dims, terms=terms, source_pairs=w.source_pairs)
+
+    monkeypatch.setattr(separability, "build_witness", weakened)
+
+
+def test_analyze_oracle_catches_a_witness_negative_on_product_states(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "pair.json"
+    path.write_text(dumps_state(new_sc_state(2, 2, [[0.5, 0.4], [0.4, 0.5]])))
+    _weaken_witness(monkeypatch)
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "--oracle")
+    assert code == 3
+    witness = json.loads(stdout)["oracle_checks"]["witness"]
+    assert witness["pass"] is False
+    assert witness["max_residual"] <= witness["tol"]
+    assert witness["min_separable_expectation"] < -witness["tol"]
+
+
+def test_oracle_verify_catches_a_witness_negative_on_product_states(capsys, monkeypatch):
+    _weaken_witness(monkeypatch)
+    code, stdout, _ = run_cli(capsys, "oracle-verify", "--k", "2", "--N", "2")
+    assert code == 3
+    assert json.loads(stdout)["checks"]["witness"]["pass"] is False
 
 
 def test_oracle_verify_bad_samples_exits_2(capsys):

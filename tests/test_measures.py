@@ -195,18 +195,6 @@ def test_roof_optimizer_rejects_zero_restarts():
         roof_optimizer(random_sc_state(2, 3, 204), restarts=0)
 
 
-def test_roof_optimizer_multipartite_weight():
-    # pure GHZ: the roof equals the pure multipartite concurrence
-    st = pure_to_mixed(ghz(3, 2))
-    res = roof_optimizer(st, restarts=2, seed=0, multipartite=True)
-    assert res.value == pytest.approx(np.sqrt(1.5), abs=1e-9)
-    # k = 2 weight reduces to the bipartite objective
-    st2 = random_sc_state(2, 2, 205)
-    a = roof_optimizer(st2, restarts=4, seed=9, multipartite=False)
-    b = roof_optimizer(st2, restarts=4, seed=9, multipartite=True)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
-
-
 def test_optimal_separable():
     st = new_sc_state(3, 2, THREE_QUBIT_MIXED)
     opt = optimal_separable(st)

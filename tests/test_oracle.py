@@ -234,9 +234,7 @@ def test_von_neumann_entropy_values():
     pure = np.outer(psi, psi.conj())
     assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-10)
     assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-10)
-    assert von_neumann_entropy(np.eye(3) / 3, np.e) == pytest.approx(
-        np.log(3), abs=1e-10
-    )
+    assert von_neumann_entropy(np.eye(3) / 3) == pytest.approx(np.log2(3), abs=1e-10)
     red = reduced_density(dense_from_sc(pure_to_mixed(ghz(3, 2))), [1], [2, 2, 2])
     assert von_neumann_entropy(red) == pytest.approx(1.0, abs=1e-12)
 

@@ -20,7 +20,6 @@ from scstates import (
     witness_expectation,
 )
 from scstates.oracle import dense_from_sc, hermitian_eigen, partial_transpose, su_generators
-from scstates.verify import random_product_mixture
 
 THREE_QUBIT_MIXED = [[2 / 3, 1 / 3], [1 / 3, 1 / 3]]
 
@@ -118,15 +117,10 @@ def test_witness_nonnegative_on_separable_samples():
     rng = np.random.default_rng(103)
     st = random_sc_state(3, 2, rng)
     w = build_witness(st)
-    samples = random_product_mixture(3, 2, rng, 200)
-    for weights, factors in zip(*samples):
-        vectors = [np.kron(np.kron(f[0], f[1]), f[2]) for f in factors]
-        total = 0.0 + 0.0j
-        for r, c, v in w.terms:
-            entry = sum(
-                wt * vec[c] * np.conj(vec[r]) for wt, vec in zip(weights, vectors)
-            )
-            total += v * entry
+    for parts in rng.standard_normal((200, 3, 2, 2)):
+        f = [(re + 1j * im) / np.linalg.norm(re + 1j * im) for re, im in parts]
+        vec = np.kron(np.kron(f[0], f[1]), f[2])
+        total = sum(v * vec[c] * np.conj(vec[r]) for r, c, v in w.terms)
         assert total.real >= -1e-9
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scstates import (
+    PureSCState,
     SloccKind,
     apply_filter,
     build_filter,
@@ -37,9 +38,9 @@ def test_classify_tolerance_and_empty_support():
     c = np.array([1.0, 1e-13])
     c /= np.linalg.norm(c)
     assert classify_pure(new_pure_sc_state(2, c)).t == 1
-    psi = new_pure_sc_state(2, (1.0, 0.0))
-    with pytest.raises(ValueError):
-        classify_pure(psi, tol=2.0)
+    psi = PureSCState(2, np.zeros(2, dtype=complex))  # unvalidated: no support
+    with pytest.raises(ValueError, match="no support"):
+        classify_pure(psi)
 
 
 def test_build_filter_values():

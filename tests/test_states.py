@@ -19,6 +19,7 @@ from scstates import (
     spectral_ensemble,
     validate_coeff_matrix,
 )
+from scstates.states import coeff_rank
 
 RNG_SEED = 20240811
 
@@ -109,6 +110,15 @@ def test_spectral_ensemble_drops_null_weights():
     c = np.array([np.sqrt(1 / 3), np.sqrt(2 / 3)])
     ens = spectral_ensemble(pure_to_mixed(new_pure_sc_state(2, c)))
     assert len(ens.components) == 1
+
+
+@pytest.mark.parametrize(
+    "eps, rank", [(1e-12, 2), (1e-12 * (1 - 1e-6), 2), (1e-12 * (1 + 1e-6), 3)]
+)
+def test_spectral_ensemble_size_is_the_rank_at_the_rank_tolerance(eps, rank):
+    st = new_sc_state(2, 3, np.diag([0.75 - eps, 0.25, eps]))
+    assert coeff_rank(st.a) == rank
+    assert len(spectral_ensemble(st).components) == rank
 
 
 def test_equal_modulus_moduli_and_reconstruction():

@@ -1,8 +1,8 @@
 """Verification-suite checks: witness sampling and the Bloch cross-check.
 
 ``witness_residuals`` draws all separable samples in one batched call.
-The references below are the per-sample sampler it replaced, with
-explicit ``np.kron`` product vectors: the batched route must leave the
+The reference below makes the same single generator call and builds each
+product vector with explicit ``np.kron``: the batched route must leave the
 generator in the same state and find the same minimum.
 """
 
@@ -24,29 +24,16 @@ from scstates import (
 )
 
 
-def _reference_mixture(parties, dim, rng, max_components=4):
-    """One sample: 2 * count * parties standard_normal calls, kron'd vectors."""
-    count = int(rng.integers(1, max_components + 1))
-    weights = rng.dirichlet(np.ones(count))
-    vectors = []
-    for _ in range(count):
-        v = np.ones(1, dtype=complex)
-        for _ in range(parties):
-            local = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            local /= np.linalg.norm(local)
-            v = np.kron(v, local)
-        vectors.append(v)
-    return weights, vectors
-
-
 def _reference_min(w, parties, dim, rng, samples):
+    """min <v|W|v> over one draw of product vectors, each kron'd explicitly."""
     worst = np.inf
-    for _ in range(samples):
-        weights, vectors = _reference_mixture(parties, dim, rng)
-        total = 0.0 + 0.0j
-        for r, c, v in w.terms:
-            total += v * sum(wt * vec[c] * np.conj(vec[r]) for wt, vec in zip(weights, vectors))
-        worst = min(worst, float(total.real))
+    for sample in rng.standard_normal((samples, parties, 2, dim)):
+        v = np.ones(1, dtype=complex)
+        for re, im in sample:
+            local = re + 1j * im
+            v = np.kron(v, local / np.linalg.norm(local))
+        total = sum(x * v[c] * np.conj(v[r]) for r, c, x in w.terms)
+        worst = min(worst, float(np.real(total)))
     return worst
 
 
@@ -83,8 +70,7 @@ def test_witness_samples_of_separable_source_are_zero():
     rng = np.random.default_rng(5)
     assert verify.witness_residuals(state, rng, 50) == (0.0, 0.0)
     ref_rng = np.random.default_rng(5)
-    for _ in range(50):
-        _reference_mixture(3, 2, ref_rng)
+    ref_rng.standard_normal((50, 3, 2, 2))
     assert rng.random() == ref_rng.random()
 
 
@@ -97,13 +83,9 @@ def test_witness_without_samples_draws_nothing():
 
 
 def test_random_product_mixture_layout():
-    weights, local = verify.random_product_mixture(3, 4, np.random.default_rng(7), 20)
-    assert weights.shape == (20, 4) and local.shape == (20, 4, 3, 4)
-    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
-    norms = np.linalg.norm(local, axis=-1)
-    live = weights > 0.0
-    assert np.abs(norms[live] - 1.0).max() <= 1e-12
-    assert not norms[~live].any()
+    local = verify.random_product_mixture(3, 4, np.random.default_rng(7), 20)
+    assert local.shape == (20, 3, 4)
+    assert np.abs(np.linalg.norm(local, axis=-1) - 1.0).max() <= 1e-12
 
 
 def test_witness_residuals_peak_memory_stays_near_one_dense_state():
