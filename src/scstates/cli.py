@@ -32,6 +32,17 @@ from .states import PureSCState, coeff_rank, new_sc_state, random_sc_state
 _LOG_BASES = {"2": 2.0, "e": float(np.e), "10": 10.0}
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not np.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _emit(text: str, output):
     if output is None:
         sys.stdout.write(text)
@@ -208,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_SEP_TOL,
         help="tolerance for separability verdicts and oracle residuals",
     )
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_SEP_TOL,
         help="residual tolerance (default 1e-9)",
     )

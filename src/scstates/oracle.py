@@ -19,9 +19,9 @@ import numpy as np
 from .errors import EigenConvergenceError, NotHermitianError, NotPSDError, SizeGuardError
 from .states import DEFAULT_TOL, PureSCState, SCState
 
-#: Largest side of any dense array the oracle builds, unless the environment
-#: variable SC_SIZE_GUARD sets another: N^k for a dense state, max(M, R)^2
-#: for the Bloch check's generator tensors.  An array thus holds at most
+#: Largest N^k for which the oracle builds the dense N^k x N^k state, unless
+#: the environment variable SC_SIZE_GUARD sets another.  No dense array an
+#: oracle check builds is larger than that state, so one holds at most
 #: guard^2 entries (~256 MB complex at the default; a 6-party 4-level
 #: system is refused).
 DEFAULT_SIZE_GUARD = 4095
@@ -32,7 +32,7 @@ DENSITY_TOL = 1e-8
 
 
 def check_size_guard(side: int) -> None:
-    """Raise :class:`SizeGuardError` if a dense array of this side is too large.
+    """Raise :class:`SizeGuardError` if a dense state of side N^k is too large.
 
     The guard is ``SC_SIZE_GUARD`` when that environment variable is set
     (a positive integer, else ``ValueError``), and ``DEFAULT_SIZE_GUARD``
@@ -320,26 +320,31 @@ def su_generators(d: int) -> np.ndarray:
     """
     if int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    d = int(d)
-    gens = np.zeros((d * d - 1, d, d), dtype=complex)
-    pos = 0
-    for i in range(d - 1):
-        scale = np.sqrt(2.0 / ((i + 1) * (i + 2)))
-        for a in range(i + 1):
-            gens[pos, a, a] = scale
-        gens[pos, i + 1, i + 1] = -(i + 1) * scale
-        pos += 1
-    for j in range(d):
-        for k in range(j + 1, d):
-            gens[pos, j, k] = 1.0
-            gens[pos, k, j] = 1.0
-            pos += 1
-    for j in range(d):
-        for k in range(j + 1, d):
-            gens[pos, j, k] = -1j
-            gens[pos, k, j] = 1j
-            pos += 1
-    return gens
+    return generator_combination(np.eye(int(d) ** 2 - 1), int(d))
+
+
+def generator_combination(coeffs, d: int) -> np.ndarray:
+    """sum_i coeffs[..., i] g_i over :func:`su_generators`, shape (..., d, d).
+
+    Each generator is written only at its own nonzeros, so nothing of
+    size d^4 is built: the diagonal ones through one (d - 1) x d table of
+    their values, the symmetric and antisymmetric ones of pair (j, k) at
+    (j, k) and (k, j), pairs in ``np.triu_indices(d, 1)`` order.
+    """
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[-1:] != (d * d - 1,):
+        raise ValueError(f"need {d * d - 1} coefficients on the last axis, got {coeffs.shape}")
+    i = np.arange(d - 1)[:, None]
+    level = np.arange(d)
+    table = np.sqrt(2.0 / ((i + 1) * (i + 2))) * ((level <= i) - (i + 1) * (level == i + 1))
+    j, k = np.triu_indices(d, 1)
+    sym = coeffs[..., d - 1 : d - 1 + j.size]
+    anti = coeffs[..., d - 1 + j.size :]
+    out = np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex)
+    out[..., level, level] = coeffs[..., : d - 1] @ table
+    out[..., j, k] = sym - 1j * anti
+    out[..., k, j] = sym + 1j * anti
+    return out
 
 
 def reduced_density(m: np.ndarray, keep, dims) -> np.ndarray:

@@ -155,19 +155,16 @@ def _dense_from_bloch(b: separability.BlochDecomposition) -> np.ndarray:
     """The density matrix rebuilt from its Bloch expansion.
 
     rho = (1/(M R)) sum_ij c_ij g_i x h_j with g_0 = I_M, h_0 = I_R and
-    c = [[1, s], [r, t]]; the sum is G^T c H on the generators reshaped to
-    (M^2 - 1, M^2) and (R^2 - 1, R^2), split into its identity and
-    generator rows, then one transpose from (a, c, b, d) to (a, b, c, d).
+    c = [[1, s], [r, t]].  The rest side's sums B_i = sum_j c_ij h_j come
+    first, then rho = sum_i g_i x B_i over the first side, both through
+    ``oracle.generator_combination``, so no array is larger than rho.
     """
     m, r_dim = b.dim_first, b.dim_rest
-    gens_a = oracle.su_generators(m).reshape(m * m - 1, m * m)
-    gens_b = oracle.su_generators(r_dim).reshape(r_dim * r_dim - 1, r_dim * r_dim)
-    eye_a = np.eye(m).reshape(m * m)
-    eye_b = np.eye(r_dim).reshape(r_dim * r_dim)
-    rec = gens_a.T @ (b.t @ gens_b + np.outer(b.r, eye_b))
-    rec += np.outer(eye_a, b.s @ gens_b + eye_b)
-    rec = rec.reshape(m, m, r_dim, r_dim).transpose(0, 2, 1, 3)
-    return rec.reshape(m * r_dim, m * r_dim) / (m * r_dim)
+    rest = oracle.generator_combination(np.vstack([b.s, b.t]), r_dim)  # B_i at (i, b, d)
+    rest[:, np.arange(r_dim), np.arange(r_dim)] += np.concatenate([[1.0], b.r])[:, None]
+    rec = oracle.generator_combination(rest[1:].transpose(1, 2, 0), m)  # (b, d, a, c)
+    rec[..., np.arange(m), np.arange(m)] += rest[0][..., None]
+    return rec.transpose(2, 0, 3, 1).reshape(m * r_dim, m * r_dim) / (m * r_dim)
 
 
 def bloch_residuals(
@@ -182,10 +179,8 @@ def bloch_residuals(
     generators are orthogonal, so the two agree exactly when the
     coefficients are right), and demands the corner-block separability
     verdict match the off-diagonal test.  Disagreement on the verdict
-    returns infinity; otherwise the worst numeric residual.  The SU(d)
-    generators hold about d^4 entries, so a split with max(M, R)^2 above
-    the size guard (:func:`scstates.oracle.check_size_guard`) raises
-    :class:`SizeGuardError` before any is built.
+    returns infinity; otherwise the worst numeric residual.  No array
+    is larger than the dense state, so its N^k size guard is the only one.
     """
     if splits is None:
         splits = _default_splits(state.parties)
@@ -194,9 +189,7 @@ def bloch_residuals(
     worst = 0.0
     for split in splits:
         b = separability.bloch_decomposition(state, split)
-        m = state.dim**split
-        r_dim = state.dim ** (state.parties - split)
-        oracle.check_size_guard(max(m, r_dim) ** 2)
+        m, r_dim = b.dim_first, b.dim_rest
         worst = max(worst, float(np.abs(b.r[m - 1 :]).max(initial=0.0)))
         worst = max(worst, float(np.abs(b.s[r_dim - 1 :]).max(initial=0.0)))
         worst = max(worst, float(np.abs(b.t[: m - 1, r_dim - 1 :]).max(initial=0.0)))
@@ -266,8 +259,7 @@ def state_residuals(
 
     The residual functions are looked up by their module-global names on
     each call, so patching one of them in this module reaches every caller.
-    ``rng`` is drawn from only by the witness's separable samples.  The
-    Bloch check runs first, so a split its size guard refuses fails fast.
+    ``rng`` is drawn from only by the witness's separable samples.
     """
     bloch = bloch_residuals(state, splits, tol=tol)
     w_res, w_sep = witness_residuals(state, rng, separable_samples)

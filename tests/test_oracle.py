@@ -21,6 +21,7 @@ from scstates.errors import NotHermitianError, NotPSDError
 from scstates.oracle import (
     dense_from_sc,
     dense_pure,
+    generator_combination,
     hermitian_eigen,
     normalize_party_subset,
     partial_transpose,
@@ -255,6 +256,45 @@ def test_relative_entropy_dense_support_violation():
     rho = np.eye(4) / 4
     sigma = np.diag([0.5, 0.5, 0.0, 0.0])
     assert relative_entropy_dense(rho, sigma) == np.inf
+
+
+def _reference_su_generators(d):
+    """The generators built one entry at a time, in the documented order."""
+    gens = np.zeros((d * d - 1, d, d), dtype=complex)
+    pos = 0
+    for i in range(d - 1):
+        scale = np.sqrt(2.0 / ((i + 1) * (i + 2)))
+        for a in range(i + 1):
+            gens[pos, a, a] = scale
+        gens[pos, i + 1, i + 1] = -(i + 1) * scale
+        pos += 1
+    for j in range(d):
+        for k in range(j + 1, d):
+            gens[pos, j, k] = 1.0
+            gens[pos, k, j] = 1.0
+            pos += 1
+    for j in range(d):
+        for k in range(j + 1, d):
+            gens[pos, j, k] = -1j
+            gens[pos, k, j] = 1j
+            pos += 1
+    return gens
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_su_generators_match_the_entrywise_reference(d):
+    gens = su_generators(d)
+    assert gens.dtype == complex
+    assert np.array_equal(gens, _reference_su_generators(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 9])
+def test_generator_combination_matches_the_dense_contraction(d):
+    rng = np.random.default_rng(d)
+    real = rng.standard_normal((6, d * d - 1))
+    for coeffs in (real, real + 1j * rng.standard_normal(real.shape)):
+        dense = np.einsum("bi,ijk->bjk", coeffs, su_generators(d))
+        assert np.abs(generator_combination(coeffs, d) - dense).max() <= 1e-14
 
 
 def test_su_generators_d2_are_pauli_like():

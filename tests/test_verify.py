@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scstates import (
-    SizeGuardError,
     build_witness,
     new_sc_state,
     oracle,
@@ -132,15 +131,25 @@ def test_bloch_residuals_catch_a_wrong_closed_form(monkeypatch, pick):
     assert np.isfinite(residual) and residual > tol
 
 
-def test_bloch_residuals_guard_the_generator_tensors(monkeypatch):
+@pytest.mark.parametrize("parties, dim", [(5, 3), (6, 3), (4, 4)])
+def test_bloch_residuals_build_no_generator_tensors(monkeypatch, parties, dim):
     def refuse(d):
-        raise AssertionError(f"su_generators({d}) built past the guard")
+        raise AssertionError(f"su_generators({d}) built")
 
     monkeypatch.setattr(oracle, "su_generators", refuse)
-    state = random_sc_state(3, 4, 13)  # split 1: R = 16, side 16^2 = 256
-    monkeypatch.setenv("SC_SIZE_GUARD", "255")
-    with pytest.raises(SizeGuardError):
-        verify.bloch_residuals(state, [1])
-    monkeypatch.setenv("SC_SIZE_GUARD", "256")
-    with pytest.raises(AssertionError):
-        verify.bloch_residuals(state, [1])
+    state = random_sc_state(parties, dim, 13)
+    assert verify.bloch_residuals(state, [1]) <= 1e-12
+
+
+@pytest.mark.parametrize("parties, dim", [(4, 3), (3, 4)])
+def test_bloch_residuals_peak_memory_stays_near_one_dense_state(parties, dim):
+    state = random_sc_state(parties, dim, 14)
+    rho_bytes = oracle.dense_from_sc(state).nbytes
+    tracemalloc.start()
+    try:
+        residual = verify.bloch_residuals(state, [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak <= 8 * rho_bytes
