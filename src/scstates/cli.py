@@ -43,6 +43,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _emit(text: str, output):
     if output is None:
         sys.stdout.write(text)
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="emit reproducible random states")
     p.add_argument("--k", type=int, required=True, help="number of parties")
     p.add_argument("--N", type=int, required=True, help="local dimension")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--count", type=int, default=1, help="number of states (default 1)")
     p.add_argument(
         "--output-dir", default=".", help="directory for the state files (default .)"
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=int, default=50, help="random states per check (default 50)"
     )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--tol",
         type=_tolerance,

@@ -323,25 +323,35 @@ def su_generators(d: int) -> np.ndarray:
     return generator_combination(np.eye(int(d) ** 2 - 1), int(d))
 
 
+def diagonal_generator_values(d: int, levels) -> np.ndarray:
+    """(d - 1, len(levels)) values of the diagonal SU(d) generators at ``levels``.
+
+    Generator i is sqrt(2/((i+1)(i+2))) on levels 0..i, -(i+1) times that
+    on level i + 1, and zero above (item 1 of :func:`su_generators`).
+    """
+    i = np.arange(d - 1)[:, None]
+    x = np.asarray(levels)[None, :]
+    return np.sqrt(2.0 / ((i + 1) * (i + 2))) * ((x <= i) - (i + 1) * (x == i + 1))
+
+
 def generator_combination(coeffs, d: int) -> np.ndarray:
     """sum_i coeffs[..., i] g_i over :func:`su_generators`, shape (..., d, d).
 
     Each generator is written only at its own nonzeros, so nothing of
-    size d^4 is built: the diagonal ones through one (d - 1) x d table of
-    their values, the symmetric and antisymmetric ones of pair (j, k) at
-    (j, k) and (k, j), pairs in ``np.triu_indices(d, 1)`` order.
+    size d^4 is built: the diagonal ones through their (d - 1) x d table
+    from :func:`diagonal_generator_values`, the symmetric and
+    antisymmetric ones of pair (j, k) at (j, k) and (k, j), pairs in
+    ``np.triu_indices(d, 1)`` order.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-1:] != (d * d - 1,):
         raise ValueError(f"need {d * d - 1} coefficients on the last axis, got {coeffs.shape}")
-    i = np.arange(d - 1)[:, None]
     level = np.arange(d)
-    table = np.sqrt(2.0 / ((i + 1) * (i + 2))) * ((level <= i) - (i + 1) * (level == i + 1))
     j, k = np.triu_indices(d, 1)
     sym = coeffs[..., d - 1 : d - 1 + j.size]
     anti = coeffs[..., d - 1 + j.size :]
     out = np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex)
-    out[..., level, level] = coeffs[..., : d - 1] @ table
+    out[..., level, level] = coeffs[..., : d - 1] @ diagonal_generator_values(d, level)
     out[..., j, k] = sym - 1j * anti
     out[..., k, j] = sym + 1j * anti
     return out

@@ -3,15 +3,17 @@
 Everything an SC state's partial transposes, realignment, and Bloch tensor
 can say about entanglement collapses onto the off-diagonal entries of the
 coefficient matrix, so each criterion here has a closed form computed from
-the N x N coefficients alone: the Bloch vectors and correlation tensor are
-scattered from a_mn into their generator positions, and a witness is
-evaluated on an :class:`SCState`'s coefficients only.  Level m of the state
-sits at the flat index ``repeated_basis_index(m, k, N)`` = m (N^k - 1)/(N - 1),
-and one ``divmod`` by the index of |1...1> inverts it.  No function here
-builds the N^k x N^k matrix except ``Witness.to_dense``, the explicit form
-kept for cross-checks.  The dense routes in :mod:`scstates.oracle` and
-:mod:`scstates.verify` re-derive the same quantities from the explicit
-matrices for cross-validation.
+the N x N coefficients alone: the PT spectrum is three fields (the zeros
+only counted), the Bloch vectors and correlation tensor are stored by the
+generator slots a_mn can fill (no stored array exceeds max(M, R) N
+entries), and a witness is evaluated on an :class:`SCState`'s coefficients
+only.  Level m of the state sits at the flat index
+``repeated_basis_index(m, k, N)`` = m (N^k - 1)/(N - 1), and one ``divmod``
+by the index of |1...1> inverts it.  No function here builds the
+N^k x N^k matrix except ``Witness.to_dense``, the explicit form kept for
+cross-checks, and only it reads the size guard.  The dense routes in
+:mod:`scstates.oracle` and :mod:`scstates.verify` re-derive the same
+quantities from the explicit matrices for cross-validation.
 """
 
 from dataclasses import dataclass
@@ -26,9 +28,6 @@ from .states import SCState
 #: separability verdicts.
 DEFAULT_SEP_TOL = 1e-9
 
-#: Largest multiset PTSpectrum.eigenvalues() will materialize explicitly.
-MAX_MATERIALIZED_SPECTRUM = 4_194_304
-
 
 @dataclass(frozen=True, eq=False)
 class PTSpectrum:
@@ -39,17 +38,12 @@ class PTSpectrum:
 
     - ``diagonal``: the N diagonal coefficients a_mm,
     - ``pair_magnitudes``: |a_mn| for m < n, each contributing a +/- pair,
-    - zero, with multiplicity N^k - N^2 (stored, never materialized
-      unless asked).
+    - zero, with multiplicity N^k - N^2 (a count, never materialized).
     """
 
     diagonal: np.ndarray
     pair_magnitudes: np.ndarray
     zero_multiplicity: int
-
-    @property
-    def total_size(self) -> int:
-        return self.diagonal.size + 2 * self.pair_magnitudes.size + self.zero_multiplicity
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the partial transpose."""
@@ -59,26 +53,6 @@ class PTSpectrum:
         if self.zero_multiplicity > 0:
             candidates.append(0.0)
         return min(candidates)
-
-    def eigenvalues(self) -> np.ndarray:
-        """The full eigenvalue multiset, sorted ascending (zeros included).
-
-        Materializes N^k numbers; refuses above
-        ``MAX_MATERIALIZED_SPECTRUM`` since the closed form makes the
-        explicit list redundant at scale.
-        """
-        if self.total_size > MAX_MATERIALIZED_SPECTRUM:
-            raise ValueError(
-                f"refusing to materialize {self.total_size} eigenvalues; "
-                f"use the field data directly"
-            )
-        parts = [
-            self.diagonal,
-            self.pair_magnitudes,
-            -self.pair_magnitudes,
-            np.zeros(self.zero_multiplicity),
-        ]
-        return np.sort(np.concatenate(parts))
 
 
 def _pair_indices(n: int):
@@ -217,7 +191,7 @@ def realignment_norm(state: SCState) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BlochDecomposition:
-    """Generator-basis expansion of an SC state across a bipartition.
+    """Generator-basis expansion of an SC state across a bipartition, by its nonzeros.
 
     Parties 1..split form the first subsystem (dimension M = N^split),
     the rest the second (dimension R).  Coefficients follow
@@ -226,32 +200,38 @@ class BlochDecomposition:
                            + sum_ij t_ij g_i x g_j)
 
     with the generator ordering of :func:`scstates.oracle.su_generators`.
+    Only the entries an SC state can make nonzero are stored:
+
+    - ``r_diagonal`` (M - 1) and ``s_diagonal`` (R - 1): the diagonal-
+      generator components of r and s; the rest of r and s is zero;
+    - ``t_first`` (M - 1, N) and ``t_rest`` (R - 1, N): the diagonal-
+      generator block of t is ``t_first @ t_rest.T``;
+    - per pair m < n, ``pair_first`` and ``pair_rest``: the symmetric-
+      generator indices i and j of (m_A, n_A) and (m_B, n_B), and
+      ``pair_values``: v = (M R/2) a_mn.  Then t[i, j] = Re v,
+      t[i', j'] = -Re v and t[i, j'] = t[i', j] = -Im v, where the prime
+      adds d(d - 1)/2 on that side (the antisymmetric generator).
+
+    Every other entry of t is zero.  :func:`scstates.verify.bloch_coefficients`
+    expands the dense (r, s, t).
     """
 
     split: int
-    r: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
+    r_diagonal: np.ndarray
+    s_diagonal: np.ndarray
+    t_first: np.ndarray
+    t_rest: np.ndarray
+    pair_first: np.ndarray
+    pair_rest: np.ndarray
+    pair_values: np.ndarray
 
     @property
     def dim_first(self) -> int:
-        return int(round(np.sqrt(self.r.size + 1)))
+        return self.r_diagonal.size + 1
 
     @property
     def dim_rest(self) -> int:
-        return int(round(np.sqrt(self.s.size + 1)))
-
-
-def _diagonal_generator_values(d: int, levels: np.ndarray) -> np.ndarray:
-    """(d - 1, len(levels)) values of the diagonal SU(d) generators at ``levels``.
-
-    Generator i is sqrt(2/((i+1)(i+2))) on levels 0..i, -(i+1) times that
-    on level i + 1, and zero above (:func:`scstates.oracle.su_generators`).
-    """
-    i = np.arange(d - 1)[:, None]
-    x = levels[None, :]
-    scale = np.sqrt(2.0 / ((i + 1) * (i + 2)))
-    return scale * ((x <= i) - (i + 1) * (x == i + 1))
+        return self.s_diagonal.size + 1
 
 
 def _pair_position(d: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -266,61 +246,46 @@ def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     index m_A = m (M - 1)/(N - 1) of the first side (m repeated ``split``
     times in base N) and likewise m_B on the second.  So only the diagonal
     generators see the a_mm, giving r, s and the (M-1) x (R-1) diagonal
-    block (M R/4) D_A diag(a) D_B^T of t; each pair m < n puts
-    +/-(M R/2) Re a_mn and -(M R/2) Im a_mn at the symmetric and
-    antisymmetric generators of (m_A, n_A) x (m_B, n_B).  Nothing dense is
-    built, but t still has ~N^{2k} entries, so the size guard applies to
-    N^k.  ``split`` must satisfy 1 <= split <= parties - 1.
+    block (M R/4) D_A diag(a) D_B^T of t, kept as its two factors; each
+    pair m < n puts +/-(M R/2) Re a_mn and -(M R/2) Im a_mn at the
+    symmetric and antisymmetric generators of (m_A, n_A) x (m_B, n_B),
+    kept as two indices and one complex value.  No stored array has more
+    than max(M, R) N entries, so no size guard applies.  ``split`` must
+    satisfy 1 <= split <= parties - 1.
     """
     k, n = state.parties, state.dim
     if int(split) != split or not 1 <= split <= k - 1:
         raise ValueError(f"split must be an integer in [1, {k - 1}], got {split}")
     split = int(split)
-    oracle.check_size_guard(n**k)
     dim_first = n**split
     dim_rest = n ** (k - split)
     a = state.a
     levels_first = repeated_basis_index(np.arange(n), split, n)
     levels_rest = repeated_basis_index(np.arange(n), k - split, n)
     diag_a = np.diagonal(a).real
-    diag_first = _diagonal_generator_values(dim_first, levels_first)
-    diag_rest = _diagonal_generator_values(dim_rest, levels_rest)
-
-    r = np.zeros(dim_first**2 - 1)
-    s = np.zeros(dim_rest**2 - 1)
-    t = np.zeros((dim_first**2 - 1, dim_rest**2 - 1))
-    r[: dim_first - 1] = (dim_first / 2.0) * (diag_first @ diag_a)
-    s[: dim_rest - 1] = (dim_rest / 2.0) * (diag_rest @ diag_a)
+    diag_first = oracle.diagonal_generator_values(dim_first, levels_first)
+    diag_rest = oracle.diagonal_generator_values(dim_rest, levels_rest)
     scale = dim_first * dim_rest / 4.0
-    t[: dim_first - 1, : dim_rest - 1] = scale * (diag_first * diag_a) @ diag_rest.T
-
     m, j = np.triu_indices(n, 1)
-    sym_first = _pair_position(dim_first, levels_first[m], levels_first[j])
-    sym_rest = _pair_position(dim_rest, levels_rest[m], levels_rest[j])
-    anti_first = sym_first + dim_first * (dim_first - 1) // 2
-    anti_rest = sym_rest + dim_rest * (dim_rest - 1) // 2
-    re = 2.0 * scale * a[m, j].real
-    im = 2.0 * scale * a[m, j].imag
-    t[sym_first, sym_rest] = re
-    t[sym_first, anti_rest] = -im
-    t[anti_first, sym_rest] = -im
-    t[anti_first, anti_rest] = -re
-    return BlochDecomposition(split=split, r=r, s=s, t=t)
+    return BlochDecomposition(
+        split=split,
+        r_diagonal=(dim_first / 2.0) * (diag_first @ diag_a),
+        s_diagonal=(dim_rest / 2.0) * (diag_rest @ diag_a),
+        t_first=scale * (diag_first * diag_a),
+        t_rest=diag_rest,
+        pair_first=_pair_position(dim_first, levels_first[m], levels_first[j]),
+        pair_rest=_pair_position(dim_rest, levels_rest[m], levels_rest[j]),
+        pair_values=2.0 * scale * a[m, j],
+    )
 
 
 def check_corollary2(b: BlochDecomposition, tol: float = DEFAULT_SEP_TOL) -> bool:
     """Bloch-tensor separability test, one vote per coefficient pair.
 
-    The corner block of t (both generators off-diagonal: i >= M - 1,
-    j >= R - 1) holds pair m < n in the symmetric row i and antisymmetric
-    row i + M(M - 1)/2 of the first side's pair (m_A, n_A).  Those two rows
-    have Frobenius norm sqrt(2) (M R/2) |a_mn|, so sqrt(2)/(M R) times it
-    is |a_mn|; true iff that is at most ``tol`` for every pair.  So the
-    verdict is :func:`is_fully_separable`'s on valid SC states, also at the
-    tolerance boundary.
+    Pair m < n fills t only through its value v = (M R/2) a_mn, so
+    2 |v|/(M R) is |a_mn|; true iff that is at most ``tol`` for every
+    pair.  So the verdict is :func:`is_fully_separable`'s on valid SC
+    states, also at the tolerance boundary.
     """
-    m, r_dim = b.dim_first, b.dim_rest
-    corner_sq = np.square(b.t[m - 1 :, r_dim - 1 :]).sum(axis=1)
-    half = m * (m - 1) // 2
-    pair_norm = np.sqrt(corner_sq[:half] + corner_sq[half:])
-    return float(pair_norm.max()) * np.sqrt(2.0) / (m * r_dim) <= tol
+    size = b.dim_first * b.dim_rest
+    return 2.0 * float(np.abs(b.pair_values).max()) / size <= tol

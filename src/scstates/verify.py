@@ -34,7 +34,9 @@ def pt_spectrum_residual(state: SCState) -> float:
     """Closed-form PT spectrum vs dense eigenvalues, over ALL proper subsets."""
     rho = oracle.dense_from_sc(state)
     dims = [state.dim] * state.parties
-    expected = separability.pt_spectrum(state).eigenvalues()
+    spectrum = separability.pt_spectrum(state)
+    pairs, zeros = spectrum.pair_magnitudes, np.zeros(spectrum.zero_multiplicity)
+    expected = np.sort(np.concatenate([spectrum.diagonal, pairs, -pairs, zeros]))
     worst = 0.0
     for subset in _all_proper_subsets(state.parties):
         pt = oracle.partial_transpose(rho, subset, dims)
@@ -151,17 +153,41 @@ def _default_splits(parties: int):
     return sorted({1, max(1, parties // 2)})
 
 
+def bloch_coefficients(b: separability.BlochDecomposition):
+    """The dense (r, s, t) of a Bloch decomposition, zeros included.
+
+    r has M^2 - 1 entries, s R^2 - 1 and t is (M^2 - 1) x (R^2 - 1), so this
+    is for the oracle checks and tests only.
+    """
+    m, r_dim = b.dim_first, b.dim_rest
+    r = np.zeros(m * m - 1)
+    s = np.zeros(r_dim * r_dim - 1)
+    t = np.zeros((m * m - 1, r_dim * r_dim - 1))
+    r[: m - 1] = b.r_diagonal
+    s[: r_dim - 1] = b.s_diagonal
+    t[: m - 1, : r_dim - 1] = b.t_first @ b.t_rest.T
+    anti_first = b.pair_first + m * (m - 1) // 2
+    anti_rest = b.pair_rest + r_dim * (r_dim - 1) // 2
+    t[b.pair_first, b.pair_rest] = b.pair_values.real
+    t[b.pair_first, anti_rest] = -b.pair_values.imag
+    t[anti_first, b.pair_rest] = -b.pair_values.imag
+    t[anti_first, anti_rest] = -b.pair_values.real
+    return r, s, t
+
+
 def _dense_from_bloch(b: separability.BlochDecomposition) -> np.ndarray:
     """The density matrix rebuilt from its Bloch expansion.
 
     rho = (1/(M R)) sum_ij c_ij g_i x h_j with g_0 = I_M, h_0 = I_R and
-    c = [[1, s], [r, t]].  The rest side's sums B_i = sum_j c_ij h_j come
-    first, then rho = sum_i g_i x B_i over the first side, both through
-    ``oracle.generator_combination``, so no array is larger than rho.
+    c = [[1, s], [r, t]] from :func:`bloch_coefficients`.  The rest side's
+    sums B_i = sum_j c_ij h_j come first, then rho = sum_i g_i x B_i over
+    the first side, both through ``oracle.generator_combination``, so no
+    array is larger than rho.
     """
     m, r_dim = b.dim_first, b.dim_rest
-    rest = oracle.generator_combination(np.vstack([b.s, b.t]), r_dim)  # B_i at (i, b, d)
-    rest[:, np.arange(r_dim), np.arange(r_dim)] += np.concatenate([[1.0], b.r])[:, None]
+    r, s, t = bloch_coefficients(b)
+    rest = oracle.generator_combination(np.vstack([s, t]), r_dim)  # B_i at (i, b, d)
+    rest[:, np.arange(r_dim), np.arange(r_dim)] += np.concatenate([[1.0], r])[:, None]
     rec = oracle.generator_combination(rest[1:].transpose(1, 2, 0), m)  # (b, d, a, c)
     rec[..., np.arange(m), np.arange(m)] += rest[0][..., None]
     return rec.transpose(2, 0, 3, 1).reshape(m * r_dim, m * r_dim) / (m * r_dim)
@@ -172,15 +198,14 @@ def bloch_residuals(
 ) -> float:
     """Closed-form Bloch decomposition vs the dense state, across bipartitions.
 
-    Verifies the SC structural zeros (off-diagonal-generator components
-    of both local vectors and the mixed correlation blocks), rebuilds the
-    dense state from the closed-form expansion with the oracle's
-    generators and compares it with ``oracle.dense_from_sc`` (the
-    generators are orthogonal, so the two agree exactly when the
-    coefficients are right), and demands the corner-block separability
-    verdict match the off-diagonal test.  Disagreement on the verdict
-    returns infinity; otherwise the worst numeric residual.  No array
-    is larger than the dense state, so its N^k size guard is the only one.
+    Rebuilds the dense state from the closed-form expansion with the
+    oracle's generators and compares it with ``oracle.dense_from_sc`` (the
+    generators are orthogonal, so the two agree exactly when every stored
+    coefficient is right; the format has no slot for the structural zeros),
+    and demands the pair-value separability verdict match the off-diagonal
+    test.  Disagreement on the verdict returns infinity; otherwise the
+    worst numeric residual.  No array is larger than the dense state, so
+    its N^k size guard is the only one.
     """
     if splits is None:
         splits = _default_splits(state.parties)
@@ -189,11 +214,6 @@ def bloch_residuals(
     worst = 0.0
     for split in splits:
         b = separability.bloch_decomposition(state, split)
-        m, r_dim = b.dim_first, b.dim_rest
-        worst = max(worst, float(np.abs(b.r[m - 1 :]).max(initial=0.0)))
-        worst = max(worst, float(np.abs(b.s[r_dim - 1 :]).max(initial=0.0)))
-        worst = max(worst, float(np.abs(b.t[: m - 1, r_dim - 1 :]).max(initial=0.0)))
-        worst = max(worst, float(np.abs(b.t[m - 1 :, : r_dim - 1]).max(initial=0.0)))
         if separability.check_corollary2(b, tol) != sep:
             return float("inf")
         worst = max(worst, float(np.abs(_dense_from_bloch(b) - rho).max()))

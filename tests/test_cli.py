@@ -352,6 +352,20 @@ def test_tol_must_be_finite_and_nonnegative(capsys, tmp_path, bad):
         assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["-1", "-5", "abc"])
+def test_seed_must_be_a_nonnegative_integer(capsys, tmp_path, bad):
+    out_dir = tmp_path / "states"
+    for argv in (
+        ["oracle-verify", "--k", "2", "--N", "2"],
+        ["random", "--k", "2", "--N", "2", "--output-dir", str(out_dir)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", bad])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_tol_zero_is_valid(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "analyze", str(write_diag_state(tmp_path)), "--tol", "0")
     assert code == 0 and json.loads(stdout)["tol"] == 0

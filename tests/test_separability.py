@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from scstates import (
-    SizeGuardError,
     bloch_decomposition,
     build_witness,
     check_corollary2,
@@ -20,6 +19,7 @@ from scstates import (
     witness_expectation,
 )
 from scstates.oracle import dense_from_sc, hermitian_eigen, partial_transpose, su_generators
+from scstates.verify import bloch_coefficients
 
 THREE_QUBIT_MIXED = [[2 / 3, 1 / 3], [1 / 3, 1 / 3]]
 
@@ -30,31 +30,30 @@ def test_pt_spectrum_fields():
     assert np.allclose(np.sort(pt.diagonal), [1 / 3, 2 / 3])
     assert np.allclose(pt.pair_magnitudes, [1 / 3])
     assert pt.zero_multiplicity == 8 - 4
-    assert pt.total_size == 8
-    vals = pt.eigenvalues()
-    assert np.allclose(vals, np.sort([2 / 3, 1 / 3, 1 / 3, -1 / 3, 0, 0, 0, 0]))
     assert pt.min_eigenvalue() == pytest.approx(-1 / 3)
 
 
 def test_pt_spectrum_ghz22():
     pt = pt_spectrum(pure_to_mixed(ghz(2, 2)))
+    assert np.allclose(pt.diagonal, [0.5, 0.5])
+    assert np.allclose(pt.pair_magnitudes, [0.5])
     assert pt.zero_multiplicity == 0
-    assert np.allclose(pt.eigenvalues(), [-0.5, 0.5, 0.5, 0.5])
+    assert pt.min_eigenvalue() == pytest.approx(-0.5)
 
 
-def test_pt_spectrum_refuses_huge_materialization():
+def test_pt_spectrum_counts_zeros_without_materializing():
     st = pure_to_mixed(ghz(40, 2))  # 2^40 eigenvalues, fields stay cheap
     pt = pt_spectrum(st)
     assert pt.zero_multiplicity == 2**40 - 4
-    with pytest.raises(ValueError):
-        pt.eigenvalues()
 
 
 def test_pt_spectrum_subset_independent():
     rng = np.random.default_rng(100)
     st = random_sc_state(3, 2, rng)
     rho = dense_from_sc(st)
-    expected = pt_spectrum(st).eigenvalues()
+    pt = pt_spectrum(st)
+    pairs, zeros = pt.pair_magnitudes, np.zeros(pt.zero_multiplicity)
+    expected = np.sort(np.concatenate([pt.diagonal, pairs, -pairs, zeros]))
     for subset in ([1], [2], [3], [1, 2], [1, 3], [2, 3]):
         vals, _ = hermitian_eigen(partial_transpose(rho, subset, [2, 2, 2]))
         assert np.abs(vals - expected).max() <= 1e-9
@@ -158,32 +157,21 @@ def test_bloch_split_validation():
     for bad in (0, 3, -1):
         with pytest.raises(ValueError):
             bloch_decomposition(st, bad)
-    with pytest.raises(SizeGuardError):
-        bloch_decomposition(pure_to_mixed(ghz(13, 2)), 1)
 
 
 def test_bloch_shapes_and_reality():
     st = random_sc_state(3, 2, 105)
     b = bloch_decomposition(st, 1)
     assert b.split == 1
-    assert b.r.shape == (3,)
-    assert b.s.shape == (15,)
-    assert b.t.shape == (3, 15)
+    assert b.r_diagonal.shape == (1,) and b.s_diagonal.shape == (3,)
+    assert b.t_first.shape == (1, 2) and b.t_rest.shape == (3, 2)
+    assert b.pair_first.shape == b.pair_rest.shape == b.pair_values.shape == (1,)
     assert b.dim_first == 2 and b.dim_rest == 4
-    assert b.r.dtype == float and b.t.dtype == float
-
-
-def test_bloch_structural_zero_blocks():
-    rng = np.random.default_rng(106)
-    for split in (1, 2):
-        st = random_sc_state(4, 2, rng)
-        b = bloch_decomposition(st, split)
-        m = 2**split
-        r_dim = 2 ** (4 - split)
-        assert np.abs(b.r[m - 1 :]).max() <= 1e-12
-        assert np.abs(b.s[r_dim - 1 :]).max() <= 1e-12
-        assert np.abs(b.t[: m - 1, r_dim - 1 :]).max() <= 1e-12
-        assert np.abs(b.t[m - 1 :, : r_dim - 1]).max() <= 1e-12
+    r, s, t = bloch_coefficients(b)
+    assert r.shape == (3,)
+    assert s.shape == (15,)
+    assert t.shape == (3, 15)
+    assert r.dtype == float and s.dtype == float and t.dtype == float
 
 
 def test_corollary2_matches_off_diagonal_test():
@@ -217,20 +205,35 @@ def test_bloch_closed_form_matches_dense_projection(parties, dim):
     st = random_sc_state(parties, dim, 10 * parties + dim)
     assert np.abs(st.a.imag).max() > 0.01
     for split in range(1, parties):
-        b = bloch_decomposition(st, split)
-        r, s, t = _dense_projection(st, split)
-        assert np.abs(b.r - r).max() <= 1e-12
-        assert np.abs(b.s - s).max() <= 1e-12
-        assert np.abs(b.t - t).max() <= 1e-12
+        r, s, t = bloch_coefficients(bloch_decomposition(st, split))
+        r_ref, s_ref, t_ref = _dense_projection(st, split)
+        assert np.abs(r - r_ref).max() <= 1e-12
+        assert np.abs(s - s_ref).max() <= 1e-12
+        assert np.abs(t - t_ref).max() <= 1e-12
 
 
 def test_bloch_five_qutrits_is_fast():
     st = random_sc_state(5, 3, 109)
     start = time.perf_counter()
     for split in range(1, 5):
-        b = bloch_decomposition(st, split)
-        assert b.t.shape == (9**split - 1, 9 ** (5 - split) - 1)
+        _, _, t = bloch_coefficients(bloch_decomposition(st, split))
+        assert t.shape == (9**split - 1, 9 ** (5 - split) - 1)
     assert time.perf_counter() - start < 2.0
+
+
+def test_bloch_eight_ququarts_needs_no_size_guard(monkeypatch):
+    monkeypatch.setenv("SC_SIZE_GUARD", "1")
+    st = random_sc_state(8, 4, 110)  # N^k = 65,536
+    start = time.perf_counter()
+    decompositions = [bloch_decomposition(st, split) for split in (1, 4, 7)]
+    assert time.perf_counter() - start < 0.5
+    for b in decompositions:
+        stored = [v.size for v in vars(b).values() if isinstance(v, np.ndarray)]
+        assert max(stored) <= max(b.dim_first, b.dim_rest) * 4
+        assert not check_corollary2(b)
+    diag = new_sc_state(8, 4, np.diag([0.1, 0.2, 0.3, 0.4]))
+    for split in (1, 4, 7):
+        assert check_corollary2(bloch_decomposition(diag, split))
 
 
 def test_bloch_reconstructs_density_matrix():
@@ -239,12 +242,13 @@ def test_bloch_reconstructs_density_matrix():
         st = random_sc_state(parties, dim, rng)
         b = bloch_decomposition(st, split)
         m, r_dim = b.dim_first, b.dim_rest
+        r, s, t = bloch_coefficients(b)
         gm = su_generators(m)
         gr = su_generators(r_dim)
         rec = np.einsum("ac,bd->abcd", np.eye(m, dtype=complex), np.eye(r_dim))
-        rec += np.einsum("i,iac,bd->abcd", b.r, gm, np.eye(r_dim))
-        rec += np.einsum("j,ac,jbd->abcd", b.s, np.eye(m), gr)
-        rec += np.einsum("ij,iac,jbd->abcd", b.t, gm, gr)
+        rec += np.einsum("i,iac,bd->abcd", r, gm, np.eye(r_dim))
+        rec += np.einsum("j,ac,jbd->abcd", s, np.eye(m), gr)
+        rec += np.einsum("ij,iac,jbd->abcd", t, gm, gr)
         rec = rec.reshape(m * r_dim, m * r_dim) / (m * r_dim)
         assert np.abs(rec - dense_from_sc(st)).max() <= 1e-12
 

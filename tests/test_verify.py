@@ -6,6 +6,7 @@ product vector with explicit ``np.kron``: the batched route must leave the
 generator in the same state and find the same minimum.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -100,33 +101,29 @@ def test_witness_residuals_peak_memory_stays_near_one_dense_state():
     assert peak < 2 * rho_bytes
 
 
-def _perturbed_bloch(monkeypatch, pick):
-    """Patch ``bloch_decomposition`` to add 1e-6 to the entry of t ``pick`` names."""
+def _perturbed_bloch(monkeypatch, field, pick):
+    """Patch ``bloch_decomposition`` to add 1e-6 to the entry of ``field`` ``pick`` names."""
     original = separability.bloch_decomposition
 
     def perturbed(state, split=1, **kwargs):
         b = original(state, split, **kwargs)
-        t = b.t.copy()
-        t[pick(b)] += 1e-6
-        return separability.BlochDecomposition(split=b.split, r=b.r, s=b.s, t=t)
+        values = getattr(b, field).copy()
+        values[pick(values)] += 1e-6
+        return dataclasses.replace(b, **{field: values})
 
     monkeypatch.setattr(separability, "bloch_decomposition", perturbed)
 
 
-def _largest_pair_entry(b):
-    corner = np.abs(b.t[b.dim_first - 1 :, b.dim_rest - 1 :])
-    i, j = np.unravel_index(corner.argmax(), corner.shape)
-    return b.dim_first - 1 + i, b.dim_rest - 1 + j
-
-
 @pytest.mark.parametrize(
-    "pick", [lambda b: (0, b.dim_rest - 2), _largest_pair_entry], ids=["diagonal", "pair"]
+    "field, pick",
+    [("t_first", lambda v: (0, 0)), ("pair_values", lambda v: np.abs(v).argmax())],
+    ids=["diagonal", "pair"],
 )
-def test_bloch_residuals_catch_a_wrong_closed_form(monkeypatch, pick):
+def test_bloch_residuals_catch_a_wrong_closed_form(monkeypatch, field, pick):
     state = random_sc_state(3, 3, 12)
     tol = separability.DEFAULT_SEP_TOL
     assert verify.bloch_residuals(state, [1, 2], tol=tol) <= 1e-12
-    _perturbed_bloch(monkeypatch, pick)
+    _perturbed_bloch(monkeypatch, field, pick)
     residual = verify.bloch_residuals(state, [1, 2], tol=tol)
     assert np.isfinite(residual) and residual > tol
 
