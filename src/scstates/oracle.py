@@ -139,6 +139,43 @@ def _jacobi_rotation(a_pp: float, a_qq: float, a_pq: complex):
     return c, t * c, a_pq / ab
 
 
+def _check_finite(a: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry of ``a``, if any."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        where = tuple(np.argwhere(~finite)[0].tolist())
+        raise ValueError(f"matrix has a non-finite entry {a[where]} at {where}")
+
+
+def _coupled_rows(a: np.ndarray) -> list:
+    """(p, group, start) for each index p that shares a connected component
+    of the nonzero pattern of ``a`` with a larger index; those larger
+    indices are ``group[start:]``, ascending.  Rows come in ascending p.
+
+    Components are merged edge by edge over the nonzero entries above the
+    diagonal, smaller group into larger.  Every such entry is a pair the
+    first sweep visits anyway, so this costs no more than one sweep's
+    loop, and nothing of size (number of pairs) is stored.
+    """
+    src, dst = np.nonzero(a)
+    upper = src < dst
+    group_of = {}
+    for p, q in zip(src[upper].tolist(), dst[upper].tolist()):
+        gp = group_of.setdefault(p, [p])
+        gq = group_of.setdefault(q, [q])
+        if gp is not gq:
+            if len(gp) < len(gq):
+                gp, gq = gq, gp
+            gp.extend(gq)
+            for r in gq:
+                group_of[r] = gp
+    groups = {id(g): sorted(g) for g in group_of.values()}.values()
+    rows = [
+        (p, group, start) for group in groups for start, p in enumerate(group[:-1], 1)
+    ]
+    return sorted(rows, key=lambda row: row[0])
+
+
 def hermitian_eigen(m: np.ndarray):
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
@@ -146,8 +183,15 @@ def hermitian_eigen(m: np.ndarray):
     rotation until the off-diagonal Frobenius norm falls below 1e-12
     times the matrix norm (at most 100 sweeps).
 
-    ``m`` must be square and Hermitian: no |m - m^dag| entry may exceed
-    ``states.DEFAULT_TOL``, the tolerance state validation uses.
+    A sweep visits, in row-major order, only the pairs (p, q) whose indices
+    lie in one connected component of the nonzero pattern, and skips a
+    pair whose entry is exactly zero.  This is exact: a rotation on (p, q)
+    rewrites only rows and columns p and q, so an entry between two
+    components mixes zeros with zeros and stays zero, and the full scan
+    would skip it anyway.
+
+    ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
+    exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and matching
     eigenvector columns; reconstruction ``V diag(w) V^dag`` and column
@@ -156,6 +200,7 @@ def hermitian_eigen(m: np.ndarray):
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    _check_finite(a)
     defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
     if defect > DEFAULT_TOL:
         raise NotHermitianError(
@@ -171,6 +216,7 @@ def hermitian_eigen(m: np.ndarray):
         order = np.argsort(vals, kind="stable")
         return vals[order], v[:, order]
 
+    rows = _coupled_rows(a)
     conv_tol = 1e-12
     converged = False
     for _ in range(100):
@@ -178,8 +224,8 @@ def hermitian_eigen(m: np.ndarray):
         if off <= conv_tol * norm:
             converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
+        for p, group, start in rows:
+            for q in group[start:]:
                 if a[p, q] == 0.0:
                     continue
                 c, s, phase = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
@@ -241,6 +287,7 @@ def trace_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
+    _check_finite(m)
     a = m.copy() if m.shape[0] <= m.shape[1] else m.conj().T.copy()
     rows = a.shape[0]
     conv_tol = max(a.shape) * np.finfo(float).eps

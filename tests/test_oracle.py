@@ -13,6 +13,7 @@ from scstates import (
     ghz,
     new_pure_sc_state,
     new_sc_state,
+    oracle,
     pure_to_mixed,
     random_sc_state,
     verify,
@@ -152,10 +153,25 @@ def test_jacobi_two_by_two_offdiagonal():
     assert np.allclose(vals, [-abs(a), abs(a)], atol=1e-14)
 
 
+def _permuted_block_diagonal(rng, sizes=(3, 1, 4, 2)):
+    """Random Hermitian blocks conjugated by a random permutation, so that
+    no component of the nonzero pattern is a contiguous index range."""
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        m[start : start + size, start : start + size] = random_hermitian(size, rng)
+        start += size
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
 def test_jacobi_matches_lapack_and_reconstructs():
     rng = np.random.default_rng(5)
-    for n in (2, 5, 16, 33, 64):
-        m = random_hermitian(n, rng)
+    panel = [random_hermitian(n, rng) for n in (2, 5, 16, 33, 64)]
+    panel.append(_permuted_block_diagonal(rng))
+    for m in panel:
+        n = m.shape[0]
         vals, vecs = hermitian_eigen(m)
         scale = max(1.0, np.abs(m).max())
         assert np.abs(vals - np.linalg.eigvalsh(m)).max() <= 1e-9 * scale
@@ -167,6 +183,101 @@ def test_jacobi_matches_lapack_and_reconstructs():
 def test_jacobi_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _no_rotation(*args):
+    # patched in to show that non-finite input is refused before any sweep
+    raise AssertionError("a Jacobi rotation was attempted")
+
+
+def test_jacobi_rejects_non_finite_before_any_sweep(monkeypatch):
+    monkeypatch.setattr(oracle, "_jacobi_rotation", _no_rotation)
+    m = random_hermitian(40, np.random.default_rng(13))
+    m[7, 21] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(7, 21\)"):
+        hermitian_eigen(m)
+
+
+def test_trace_norm_rejects_non_finite_before_any_sweep(monkeypatch):
+    monkeypatch.setattr(oracle, "_jacobi_rotation", _no_rotation)
+    m = np.random.default_rng(14).standard_normal((6, 9)).astype(complex)
+    m[4, 2] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(4, 2\)"):
+        trace_norm(m)
+
+
+def _reference_hermitian_eigen(m):
+    """The Jacobi solver with a full row-major scan of every pair (p, q),
+    p < q, skipping exact zeros: each sweep visits all n(n - 1)/2 pairs."""
+    a = np.asarray(m, dtype=complex)
+    n = a.shape[0]
+    a = (a + a.conj().T) / 2.0
+    v = np.eye(n, dtype=complex)
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0 or n == 1:
+        vals = np.real(np.diagonal(a)).copy()
+        order = np.argsort(vals, kind="stable")
+        return vals[order], v[:, order]
+    for _ in range(100):
+        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
+        if off <= 1e-12 * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p, q] == 0.0:
+                    continue
+                c, s, phase = oracle._jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * phase * rq
+                a[q, :] = s * np.conj(phase) * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * np.conj(phase) * cq
+                a[:, q] = s * phase * cp + c * cq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * np.conj(phase) * vq
+                v[:, q] = s * phase * vp + c * vq
+    else:
+        raise AssertionError("reference Jacobi did not converge")
+    vals = np.real(np.diagonal(a)).copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], v[:, order]
+
+
+def _bit_identity_panel():
+    rng = np.random.default_rng(1201)
+    for parties, dim in [(2, 2), (3, 2), (2, 3), (4, 3), (6, 2)]:
+        rho = dense_from_sc(random_sc_state(parties, dim, rng))
+        yield f"rho{parties}{dim}", rho
+        for subset in verify._all_proper_subsets(parties):
+            name = "".join(map(str, subset))
+            yield f"pt{parties}{dim}-{name}", partial_transpose(rho, subset, [dim] * parties)
+    for n in range(2, 34):
+        yield f"dense{n}", random_hermitian(n, rng)
+    yield "permuted-blocks", _permuted_block_diagonal(rng)
+    # a chain: each rotation fills in entries further along the one component
+    chain = np.diag(rng.standard_normal(12)).astype(complex)
+    link = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    chain += np.diag(link, 1) + np.diag(link.conj(), -1)
+    yield "chain", chain
+    # the same chain under a permutation: its links join groups out of index order
+    perm = rng.permutation(12)
+    yield "permuted-chain", chain[np.ix_(perm, perm)]
+    holes = random_hermitian(9, rng)
+    holes[[2, 6], :] = 0.0
+    holes[:, [2, 6]] = 0.0
+    yield "zero-rows", holes
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in _bit_identity_panel()])
+def test_jacobi_is_bit_identical_to_the_full_scan(m):
+    vals, vecs = hermitian_eigen(m)
+    ref_vals, ref_vecs = _reference_hermitian_eigen(m)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
 
 
 def test_realign_entry_permutation_and_involution():

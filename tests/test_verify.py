@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scstates import (
+    SizeGuardError,
     build_witness,
     new_sc_state,
     oracle,
@@ -150,3 +151,26 @@ def test_bloch_residuals_peak_memory_stays_near_one_dense_state(parties, dim):
         tracemalloc.stop()
     assert residual <= 1e-12
     assert peak <= 8 * rho_bytes
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda state: oracle.dense_from_sc(state),
+        lambda state: verify.run_suite(state.parties, state.dim, samples=1),
+        lambda state: verify.state_residuals(state, np.random.default_rng(15)),
+    ],
+    ids=["dense_from_sc", "run_suite", "state_residuals"],
+)
+def test_size_guard_refuses_before_allocating(monkeypatch, refused):
+    # 4^7 = 16384 > the default guard; the dense state would take 4 GB
+    monkeypatch.delenv("SC_SIZE_GUARD", raising=False)
+    state = random_sc_state(7, 4, 15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            refused(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
