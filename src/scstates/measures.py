@@ -1,10 +1,10 @@
 """Entanglement measures for SC states.
 
 Negativity, realignment, and relative entropy all reduce to N x N
-arithmetic on the coefficient matrix.  Concurrence of mixed states is
-handled by closed forms where they exist (rank one, or N = 2) and by a
-convex-roof minimizer otherwise; the minimizer only ever evaluates valid
-ensemble decompositions, so its result is always a true upper bound.
+arithmetic on the coefficient matrix.  Concurrence of mixed states has
+one closed-form lower bound, sqrt(2) ||offdiag(a)||_F, exact whenever a
+is rank one plus a diagonal; otherwise a convex-roof minimizer gives an
+upper bound (it only ever evaluates valid ensemble decompositions).
 """
 
 import enum
@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import EigenConvergenceError
-from .states import RANK_TOL, SCState, coeff_rank, new_sc_state
+from .states import RANK_TOL, SCState, new_sc_state
 
 #: Eigenvalues/populations below this are treated as exact zeros in
 #: entropy sums (0 * log 0 = 0 convention).
@@ -78,19 +78,16 @@ def concurrence_pure_multipartite(psi) -> float:
 class ConcurrenceMethod(str, enum.Enum):
     """How the `exact` field of a ConcurrenceReport was (or wasn't) obtained."""
 
-    PURE_CLOSED_FORM = "pure_closed_form"
-    QUBIT_CLOSED_FORM = "qubit_closed_form"
+    CLOSED_FORM = "closed_form"
     BOUNDS_ONLY = "bounds_only"
     ROOF_OPTIMIZER = "roof_optimizer"
 
 
 @dataclass(frozen=True, eq=False)
 class ConcurrenceReport:
-    """Concurrence bounds, an exact value when available, and provenance.
+    """Concurrence bounds, the exact value where it is known, and provenance.
 
-    Invariants: 0 <= lower <= upper, and lower <= exact <= upper when
-    exact is present (up to 1e-9 optimizer dust, which is clamped away
-    when the roof value lands a few ulp under the lower bound).
+    Invariants: 0 <= lower <= upper, and exact == lower when present.
     """
 
     lower: float
@@ -233,6 +230,34 @@ def roof_optimizer(
     return RoofResult(value=best, trace=tuple(trace), converged=converged)
 
 
+def _rank_one_plus_diagonal(a: np.ndarray, off: np.ndarray) -> bool:
+    """Whether a - D = x x^dagger for a diagonal D >= 0, within ``RANK_TOL``.
+
+    ``off`` holds the off-diagonal moduli and S the rows with one above
+    ``RANK_TOL``; |S| <= 2 always qualifies (|a_mn|^2 <= a_mm a_nn).  Else x is
+    rebuilt on S from one anchor triangle, (n, l) the largest entry and r
+    the row maximizing |a_rn| |a_rl|: |x_r|^2 = |a_rn| |a_rl| / |a_nl|, x_m
+    = a_mr / conj(x_r).  One comparison with a over S x S rejects
+    incomplete or disjoint blocks and inconsistent triangle phases, and on
+    the diagonal checks D >= 0: |x_m|^2 <= a_mm.
+    """
+    rows = (off > RANK_TOL).any(axis=0).nonzero()[0]
+    if rows.size <= 2:
+        return True
+    a, off = a[rows][:, rows], off[rows][:, rows]  # S x S from here on
+    n, l = divmod(int(off.argmax()), rows.size)
+    through = off[n] * off[l]
+    r = int(through.argmax())
+    # a zero or subnormal anchor product gives inf/nan, which fails the test
+    with np.errstate(all="ignore"):
+        x_r = np.sqrt(through[r] / off[n, l])
+        x = a[:, r] / x_r
+        x[r] = x_r
+        resid = x[:, None] * x.conj() - a
+        resid.flat[:: rows.size + 1] = resid.diagonal().real.clip(0.0)
+        return bool(np.abs(resid).max() <= RANK_TOL)
+
+
 def concurrence(
     state: SCState,
     *,
@@ -240,63 +265,41 @@ def concurrence(
     restarts: int = 16,
     seed=None,
 ) -> ConcurrenceReport:
-    """Concurrence report: closed form when available, bounds otherwise.
+    """Concurrence report: the closed form where it holds, bounds otherwise.
 
-    lower is (2 sqrt(2) / sqrt(N(N-1))) times the negativity, capped at
-    exact when that is known; upper is sqrt(2(1 - 1/N)), improved by the
-    roof optimizer when requested.
-    exact is filled by the pure closed form for rank-one states and by
-    2|a_01| for N = 2 (the lower bound is attained there: the moduli
-    matrix [[a_00, |a_01|], [|a_01|, a_11]] is doubly nonnegative, so a
-    shared-relative-phase rank-one decomposition achieving it exists).
-    With ``roof``, the upper bound is tightened: to ``exact`` when it is
-    known (empty trace, converged), otherwise by ``roof_optimizer(state,
-    restarts, seed)``, whose trace and ``converged`` flag the report carries.
+    Each component c of a decomposition of an SC state is an SC pure state
+    of weighted concurrence sqrt(2) ||offdiag(c c^dagger)||_F, so by the
+    triangle inequality lower = sqrt(2) ||offdiag(a)||_F (2|a_01| at N = 2).
+    exact = lower when a - D = x x^dagger for a diagonal D >= 0: x and the
+    product states of D attain it.  That covers rank-one, N = 2, diagonal
+    and dephased pure states.  upper is sqrt(2(1 - 1/N)), tightened with
+    ``roof``: to ``exact`` when it is known (empty trace, converged), else
+    by ``roof_optimizer(state, restarts, seed)``, whose trace and
+    ``converged`` flag the report carries.
     """
     a = state.a
-    n = state.dim
-    neg = negativity(state)
-    lower = float(2.0 * np.sqrt(2.0) / np.sqrt(n * (n - 1)) * neg)
-    upper = float(np.sqrt(2.0 * (1.0 - 1.0 / n)))
-    roof_trace = None
-    roof_converged = None
+    off = np.hypot(a.real, a.imag)
+    off.flat[:: state.dim + 1] = 0.0
+    lower = float(np.sqrt(2.0 * (off**2).sum()))
+    upper = float(np.sqrt(2.0 * (1.0 - 1.0 / state.dim)))
+    exact = lower if _rank_one_plus_diagonal(a, off) else None
+    roof_trace = roof_converged = None
 
-    exact = None
-    if coeff_rank(a) == 1:
-        vals, vecs = np.linalg.eigh(a)
-        exact = concurrence_pure_bipartite(vecs[:, -1] * np.sqrt(vals[-1]))
-        method = ConcurrenceMethod.PURE_CLOSED_FORM
-    elif n == 2:
-        exact = float(2.0 * abs(a[0, 1]))
-        method = ConcurrenceMethod.QUBIT_CLOSED_FORM
+    if exact is not None:
+        method = ConcurrenceMethod.CLOSED_FORM
+        if roof:
+            upper, roof_trace, roof_converged = exact, (), True
     elif roof:
         method = ConcurrenceMethod.ROOF_OPTIMIZER
-    else:
-        method = ConcurrenceMethod.BOUNDS_ONLY
-    if exact is not None:
-        # the lower bound is attained at rank one N = 2, where its own
-        # formula can round an ulp above the exact value; clamp
-        lower = min(lower, exact)
-
-    if roof and exact is not None:
-        upper, roof_trace, roof_converged = exact, (), True
-    elif roof:
         result = roof_optimizer(state, restarts=restarts, seed=seed)
         upper = min(upper, result.value)
-        roof_trace = result.trace
-        roof_converged = result.converged
+        roof_trace, roof_converged = result.trace, result.converged
+    else:
+        method = ConcurrenceMethod.BOUNDS_ONLY
 
-    # the optimizer may land a few ulp below the true value; the exact
-    # value, else the lower bound, is a valid upper-bound floor, so clamp
-    upper = max(upper, lower if exact is None else exact)
-    return ConcurrenceReport(
-        lower=lower,
-        upper=upper,
-        exact=exact,
-        method=method,
-        roof_trace=roof_trace,
-        roof_converged=roof_converged,
-    )
+    # a roof value can land ulps below lower, and lower ulps above sqrt(2(1 - 1/N))
+    upper = max(upper, lower)
+    return ConcurrenceReport(lower, upper, exact, method, roof_trace, roof_converged)
 
 
 @dataclass(frozen=True, eq=False)

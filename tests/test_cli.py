@@ -65,7 +65,7 @@ def test_analyze_report_fields_and_invariants(capsys, tmp_path):
     )
     assert rep["relative_entropy"] == pytest.approx(np.log2(3.0), abs=1e-12)
     assert rep["log_base"] == "2"
-    assert rep["concurrence_method"] == "pure_closed_form"
+    assert rep["concurrence_method"] == "closed_form"
     assert rep["concurrence_exact"] == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-9)
     assert rep["slocc"] == {"kind": "ghz_class", "t": 3}
     assert rep["witness"]["pair_count"] == 3
@@ -86,7 +86,7 @@ def test_analyze_diagonal_state_is_separable(capsys, tmp_path):
     assert rep["negativity"] == 0.0
     assert rep["realignment_norm"] == pytest.approx(1.0)
     assert rep["relative_entropy"] == 0.0
-    assert rep["concurrence_exact"] is None  # N = 3 mixed state: bounds only
+    assert rep["concurrence_exact"] == 0.0  # diagonal: exact, no coherence
     assert rep["concurrence_lower"] == 0.0
     assert rep["witness"] == {"pair_count": 0, "expectation": 0.0}
 
@@ -101,7 +101,7 @@ def test_analyze_with_oracle_passes_on_example(capsys, tmp_path):
     assert rep["oracle_checked"] is True
     assert rep["oracle_max_residual"] <= 1e-8
     assert rep["slocc"] is None  # rank two: no pure classification
-    assert rep["concurrence_method"] == "qubit_closed_form"
+    assert rep["concurrence_method"] == "closed_form"
 
 
 def test_analyze_oracle_mismatch_exits_3(capsys, tmp_path, monkeypatch):

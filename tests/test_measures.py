@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from scstates import (
     ConcurrenceMethod,
@@ -14,12 +15,14 @@ from scstates import (
     new_sc_state,
     optimal_separable,
     pure_to_mixed,
+    random_pure_sc_state,
     random_sc_state,
     realignment_norm,
     relative_entropy,
     roof_optimizer,
 )
 from scstates import measures
+from scstates.oracle import dense_pure, reduced_density
 
 THREE_QUBIT_MIXED = [[2 / 3, 1 / 3], [1 / 3, 1 / 3]]
 TILTED = (np.sqrt(1 / 3), np.sqrt(2 / 3))
@@ -45,8 +48,8 @@ def test_negativity_realignment_relation():
 
 
 def test_qubit_concurrence_lower_bound_never_exceeds_exact():
-    # negativity sums the off-diagonal moduli, so at N = 2 the lower bound
-    # 2 * negativity is exactly 2|a_01|, not an ulp above it
+    # at N = 2 the lower bound sqrt(2) ||offdiag(a)||_F is exactly 2|a_01|,
+    # not an ulp above it
     for seed in range(300):
         rep = concurrence(random_sc_state(2, 2, seed), roof=True)
         assert rep.lower <= rep.exact == rep.upper
@@ -81,7 +84,7 @@ def test_pure_concurrence_multipartite_values():
 def test_concurrence_report_qubit_closed_form():
     st = new_sc_state(3, 2, THREE_QUBIT_MIXED)
     rep = concurrence(st)
-    assert rep.method is ConcurrenceMethod.QUBIT_CLOSED_FORM
+    assert rep.method is ConcurrenceMethod.CLOSED_FORM
     assert rep.exact == pytest.approx(2 / 3, abs=1e-15)
     assert rep.lower == pytest.approx(2 * negativity(st), abs=1e-15)
     assert rep.exact == pytest.approx(rep.lower, abs=1e-12)
@@ -92,7 +95,7 @@ def test_concurrence_report_qubit_closed_form():
 def test_concurrence_report_rank_one():
     st = pure_to_mixed(new_pure_sc_state(2, TILTED))
     rep = concurrence(st)
-    assert rep.method is ConcurrenceMethod.PURE_CLOSED_FORM
+    assert rep.method is ConcurrenceMethod.CLOSED_FORM
     assert rep.exact == pytest.approx(2.0 * np.sqrt(2.0) / 3.0, abs=1e-12)
 
 
@@ -142,11 +145,127 @@ def test_concurrence_roof_skips_optimizer_when_exact_known(monkeypatch):
 
 def test_concurrence_ghz23_bounds_coincide():
     rep = concurrence(pure_to_mixed(ghz(2, 3)))
-    assert rep.method is ConcurrenceMethod.PURE_CLOSED_FORM
+    assert rep.method is ConcurrenceMethod.CLOSED_FORM
     target = 2.0 / np.sqrt(3.0)
     assert rep.lower == pytest.approx(target, abs=1e-12)
     assert rep.upper == pytest.approx(target, abs=1e-12)
     assert rep.exact == pytest.approx(target, abs=1e-12)
+
+
+def _dense_concurrence(psi) -> float:
+    """sqrt(2(1 - Tr rho_1^2)) of a pure state, from its dense reduction."""
+    vec = dense_pure(psi)
+    rho1 = reduced_density(np.outer(vec, vec.conj()), [1], [psi.dim] * psi.parties)
+    return float(np.sqrt(2.0 * (1.0 - np.trace(rho1 @ rho1).real)))
+
+
+def _dephased(psi, lam):
+    """(1 - lam) psi psi^dagger + lam diag|psi|^2."""
+    c = psi.amplitudes
+    a = (1.0 - lam) * np.outer(c, c.conj()) + lam * np.diag(np.abs(c) ** 2)
+    return new_sc_state(psi.parties, psi.dim, a)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 8])
+def test_concurrence_exact_on_dephased_pure_states(dim):
+    # the decomposition (1 - lam) psi plus the product states |m..m> in
+    # lam diag|psi|^2, whose concurrence is 0, attains the lower bound
+    parties = 3 if dim <= 5 else 2
+    for seed, lam in ((1, 0.1), (2, 0.5), (3, 0.9)):
+        psi = random_pure_sc_state(parties, dim, 300 + 10 * dim + seed)
+        rep = concurrence(_dephased(psi, lam))
+        assert rep.method is ConcurrenceMethod.CLOSED_FORM
+        assert rep.exact == rep.lower
+        assert abs(rep.exact - (1.0 - lam) * _dense_concurrence(psi)) <= 1e-12
+
+
+def _coherent(diagonal, pairs):
+    a = np.diag(diagonal).astype(complex)
+    for (m, n), value in pairs.items():
+        a[m, n], a[n, m] = value, np.conj(value)
+    return new_sc_state(2, len(a), a)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(random_sc_state(2, 4, 205), id="ginibre"),
+        pytest.param(_coherent([0.25] * 4, {(0, 1): 0.1, (2, 3): 0.2j}), id="disjoint-blocks"),
+        pytest.param(
+            _coherent([1 / 3] * 3, {(0, 1): 0.1, (0, 2): 0.1, (1, 2): -0.1}),
+            id="negative-triangle",
+        ),
+        pytest.param(_coherent([1 / 3] * 3, {(0, 1): 0.1, (0, 2): 0.1}), id="incomplete-block"),
+        # off-diagonal of x x^dagger for x = (2, 1, 1)/3, but |x_0|^2 > a_00
+        pytest.param(
+            _coherent([1 / 3] * 3, {(0, 1): 2 / 9, (0, 2): 2 / 9, (1, 2): 1 / 9}),
+            id="negative-diagonal-rest",
+        ),
+    ],
+)
+def test_concurrence_rejects_states_outside_the_family(state):
+    rep = concurrence(state)
+    assert rep.method is ConcurrenceMethod.BOUNDS_ONLY
+    assert rep.exact is None
+
+
+def test_concurrence_rank_one_matches_the_pure_formula():
+    for dim in range(2, 9):
+        for seed in range(5):
+            psi = random_pure_sc_state(2, dim, 400 + 10 * dim + seed)
+            rep = concurrence(pure_to_mixed(psi))
+            assert rep.method is ConcurrenceMethod.CLOSED_FORM
+            assert abs(rep.exact - concurrence_pure_bipartite(psi.amplitudes)) <= 1e-14
+
+
+def test_concurrence_qubit_exact_is_twice_the_coherence_bitwise():
+    for seed in range(200):
+        st = random_sc_state(2, 2, seed)
+        if seed % 2:
+            st = pure_to_mixed(random_pure_sc_state(2, 2, seed))
+        assert concurrence(st).exact == 2.0 * abs(st.a[0, 1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=strategies.integers(2, 6),
+    seed=strategies.integers(0, 2**32 - 1),
+    pure=strategies.booleans(),
+)
+@example(dim=3, seed=0, pure=None)
+def test_concurrence_lower_never_below_the_negativity_bound(dim, seed, pure):
+    if pure is None:
+        state = pure_to_mixed(ghz(2, dim))  # equal moduli: the two bounds coincide
+    elif pure:
+        state = pure_to_mixed(random_pure_sc_state(2, dim, seed))
+    else:
+        state = random_sc_state(2, dim, seed)
+    old = 2.0 * np.sqrt(2.0) / np.sqrt(dim * (dim - 1)) * negativity(state)
+    # Cauchy-Schwarz, with equality up to rounding when all |a_mn| agree
+    assert concurrence(state).lower >= old * (1.0 - 4.0 * np.finfo(float).eps)
+
+
+def test_concurrence_lower_bounds_the_roof():
+    for dim, seed in ((3, 11), (4, 12), (5, 13), (3, 14)):
+        st = random_sc_state(2, dim, seed)
+        assert concurrence(st).lower <= roof_optimizer(st, restarts=2, seed=0).value + 1e-9
+
+
+def test_concurrence_calls_no_eigensolver(monkeypatch):
+    states = [
+        pure_to_mixed(random_pure_sc_state(3, 5, 500)),
+        random_sc_state(2, 2, 501),
+        _dephased(random_pure_sc_state(2, 4, 502), 0.3),
+        random_sc_state(3, 4, 503),
+    ]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("concurrence called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    methods = [concurrence(st).method for st in states]
+    assert methods == [ConcurrenceMethod.CLOSED_FORM] * 3 + [ConcurrenceMethod.BOUNDS_ONLY]
 
 
 def test_roof_optimizer_qubit_hits_closed_form():

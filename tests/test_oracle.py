@@ -280,6 +280,20 @@ def test_jacobi_is_bit_identical_to_the_full_scan(m):
     assert np.array_equal(vecs, ref_vecs)
 
 
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 2), (4, 3), (6, 2)])
+def test_complementary_partial_transposes_have_bit_identical_spectra(parties, dim):
+    # rho^{T_{S^c}} = conj(rho^{T_S}); verify.pt_spectrum_residual relies on
+    # Jacobi returning the very same values for both
+    rho = dense_from_sc(random_sc_state(parties, dim, 1000 + 10 * parties + dim))
+    dims = [dim] * parties
+    everyone = set(range(1, parties + 1))
+    for subset in verify._all_proper_subsets(parties):
+        complement = sorted(everyone - set(subset))
+        vals, _ = hermitian_eigen(partial_transpose(rho, subset, dims))
+        comp_vals, _ = hermitian_eigen(partial_transpose(rho, complement, dims))
+        assert np.array_equal(vals, comp_vals), (subset, complement)
+
+
 def test_realign_entry_permutation_and_involution():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

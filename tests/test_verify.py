@@ -115,6 +115,29 @@ def _perturbed_bloch(monkeypatch, field, pick):
     monkeypatch.setattr(separability, "bloch_decomposition", perturbed)
 
 
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 2), (4, 2), (3, 3), (6, 2)])
+def test_pt_spectrum_residual_diagonalises_one_of_each_complementary_pair(
+    monkeypatch, parties, dim
+):
+    transpose, eigen = oracle.partial_transpose, oracle.hermitian_eigen
+    subsets, calls = [], []
+
+    def counted_transpose(m, subset, dims):
+        subsets.append(tuple(subset))
+        return transpose(m, subset, dims)
+
+    def counted_eigen(m):
+        calls.append(m.shape)
+        return eigen(m)
+
+    monkeypatch.setattr(oracle, "partial_transpose", counted_transpose)
+    monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
+    verify.pt_spectrum_residual(random_sc_state(parties, dim, 7))
+    # the complement of each subset holding party 1 has the same spectrum
+    assert len(calls) == len(set(subsets)) == 2 ** (parties - 1) - 1
+    assert all(1 in subset for subset in subsets)
+
+
 @pytest.mark.parametrize(
     "field, pick",
     [("t_first", lambda v: (0, 0)), ("pair_values", lambda v: np.abs(v).argmax())],
