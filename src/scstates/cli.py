@@ -27,7 +27,7 @@ from . import __version__, measures, separability, slocc, verify
 from .errors import SizeGuardError
 from .separability import DEFAULT_SEP_TOL
 from .serialize import canonical_dumps, dumps_state, loads_state
-from .states import PureSCState, coeff_rank, new_sc_state, random_sc_state
+from .states import PureSCState, new_sc_state, random_sc_state
 
 _LOG_BASES = {"2": 2.0, "e": float(np.e), "10": 10.0}
 
@@ -78,7 +78,7 @@ def _load_state_file(path: str):
 
 def _slocc_summary(state):
     """SLOCC classification for rank-one (pure) inputs, else None."""
-    if coeff_rank(state.a) != 1:
+    if state.rank != 1:
         return None
     _, vecs = np.linalg.eigh(state.a)
     cls = slocc.classify_pure(PureSCState(state.parties, vecs[:, -1]))
@@ -105,8 +105,8 @@ def cmd_analyze(args) -> int:
         "negativity": neg,
         "realignment_norm": realn,
         "pt_spectrum": {
-            "diagonal": list(pt.diagonal),
-            "pair_magnitudes": list(pt.pair_magnitudes),
+            "diagonal": pt.diagonal.tolist(),
+            "pair_magnitudes": pt.pair_magnitudes.tolist(),
             "zero_multiplicity": pt.zero_multiplicity,
         },
         "concurrence_lower": report_c.lower,

@@ -327,17 +327,17 @@ def relative_entropy(state: SCState, log_base: float = 2.0) -> float:
 
     Equals S(rho || sigma*) with sigma* the diagonal part of the state:
     sum_i lambda_i log lambda_i - sum_m a_mm log a_mm, where lambda_i are
-    the coefficient-matrix eigenvalues.  Terms with weight <= 1e-15 are
-    dropped (0 log 0 = 0); the result is clamped at 0 against rounding.
+    the coefficient-matrix eigenvalues (``state.eigenvalues``).  Terms with
+    weight <= 1e-15 are dropped (0 log 0 = 0); the result is clamped at 0
+    against rounding.
     """
-    a = state.a
     try:
-        vals = np.linalg.eigvalsh(a)
+        vals = state.eigenvalues
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"eigendecomposition of the coefficient matrix failed: {exc}"
         ) from exc
-    diag = np.diagonal(a).real
+    diag = np.diagonal(state.a).real
 
     def plogp(p: np.ndarray) -> float:
         p = p[p > LOG_CLAMP]

@@ -16,6 +16,7 @@ cross-checks, and only it reads the size guard.  The dense routes in
 quantities from the explicit matrices for cross-validation.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,13 @@ class PTSpectrum:
         return min(candidates)
 
 
-def _pair_indices(n: int):
-    return [(m, j) for m in range(n) for j in range(m + 1, n)]
+@functools.cache
+def _pair_indices(n: int) -> tuple:
+    """``np.triu_indices(n, 1)``, the pairs m < n in row-major order, read-only."""
+    iu = np.triu_indices(n, 1)
+    for idx in iu:
+        idx.setflags(write=False)
+    return iu
 
 
 def pt_spectrum(state: SCState) -> PTSpectrum:
@@ -68,8 +74,10 @@ def pt_spectrum(state: SCState) -> PTSpectrum:
     """
     a = state.a
     n = state.dim
+    iu = _pair_indices(n)
     diag = np.diagonal(a).real.copy()
-    pairs = np.array([abs(a[m, j]) for m, j in _pair_indices(n)])
+    # hypot, not the vectorised complex abs, which can differ from abs(a_mn) by an ulp
+    pairs = np.hypot(a.real[iu], a.imag[iu])
     zero_mult = state.dim**state.parties - n * n
     return PTSpectrum(diagonal=diag, pair_magnitudes=pairs, zero_multiplicity=zero_mult)
 
@@ -130,25 +138,27 @@ def build_witness(state: SCState) -> Witness:
     """
     a = state.a
     n, k = state.dim, state.parties
+    rows, cols = _pair_indices(n)
+    amn = a[rows, cols]
+    keep = amn != 0
+    phase = np.exp(1j * np.angle(amn[keep]))
+    # flat indices as exact Python ints: N^k can exceed int64
     lead = n ** (k - 1)  # place value of party 1's digit
+    unit = repeated_basis_index(1, k, n)  # |1...1>
+    unit_rest = repeated_basis_index(1, k - 1, n)  # |1...1> on parties 2..k
+    pairs = list(zip(rows[keep].tolist(), cols[keep].tolist()))
     terms = []
-    pairs = []
-    for m, j in _pair_indices(n):
-        amn = a[m, j]
-        if amn == 0:
-            continue
-        pairs.append((m, j))
-        theta = np.angle(amn)
-        # |m n...n> and |n m...m> in flat indices
-        idx_mn = m * lead + repeated_basis_index(j, k - 1, n)
-        idx_nm = j * lead + repeated_basis_index(m, k - 1, n)
-        rep_m = repeated_basis_index(m, k, n)
-        rep_n = repeated_basis_index(j, k, n)
-        phase = np.exp(1j * theta)
-        terms.append((idx_mn, idx_mn, 0.5 + 0j))
-        terms.append((idx_nm, idx_nm, 0.5 + 0j))
-        terms.append((rep_m, rep_n, -0.5 * phase))
-        terms.append((rep_n, rep_m, -0.5 * np.conj(phase)))
+    coherences = zip(pairs, (-0.5 * phase).tolist(), (-0.5 * phase.conj()).tolist())
+    for (m, j), v, v_conj in coherences:
+        # |m n...n> and |n m...m>, then |m...m><n...n| and its conjugate
+        idx_mn = m * lead + j * unit_rest
+        idx_nm = j * lead + m * unit_rest
+        terms += [
+            (idx_mn, idx_mn, 0.5 + 0j),
+            (idx_nm, idx_nm, 0.5 + 0j),
+            (m * unit, j * unit, v),
+            (j * unit, m * unit, v_conj),
+        ]
     return Witness(dims=(n,) * k, terms=tuple(terms), source_pairs=tuple(pairs))
 
 
@@ -266,7 +276,7 @@ def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     diag_first = oracle.diagonal_generator_values(dim_first, levels_first)
     diag_rest = oracle.diagonal_generator_values(dim_rest, levels_rest)
     scale = dim_first * dim_rest / 4.0
-    m, j = np.triu_indices(n, 1)
+    m, j = _pair_indices(n)
     return BlochDecomposition(
         split=split,
         r_diagonal=(dim_first / 2.0) * (diag_first @ diag_a),

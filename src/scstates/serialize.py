@@ -8,6 +8,8 @@ CLI relies on for its round-trip guarantee.
 """
 
 import json
+import math
+from json.encoder import encode_basestring_ascii  # what json.dumps(str) calls
 
 import numpy as np
 
@@ -18,31 +20,36 @@ from .states import SCState, new_sc_state
 _INLINE_WIDTH = 100
 
 
+def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite number {float(x)}")
+    return format(x + 0.0, ".17g")  # -0.0 -> 0.0: JSON reads "-0" back as the integer 0
+
+
 def _fmt_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x) + 0.0  # -0.0 -> 0.0: JSON reads "-0" back as the integer 0
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x}")
-    return format(x, ".17g")
+    return _fmt_float(float(x))
 
 
 def _render(obj, indent: int) -> str:
-    pad = " " * indent
-    child_pad = " " * (indent + 2)
+    if isinstance(obj, float):  # also np.float64
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
+    if isinstance(obj, (bool, int, np.integer, np.floating)):
         return _fmt_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    pad = " " * indent
+    child_pad = " " * (indent + 2)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         rows = [
-            f"{child_pad}{json.dumps(str(key))}: {_render(value, indent + 2)}"
+            f"{child_pad}{encode_basestring_ascii(str(key))}: {_render(value, indent + 2)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
@@ -50,12 +57,19 @@ def _render(obj, indent: int) -> str:
         items = list(obj)
         if not items:
             return "[]"
-        if not any(_contains_dict(item) for item in items):
-            inline = "[" + ", ".join(_render(item, 0) for item in items) + "]"
-            if "\n" not in inline and len(inline) <= _INLINE_WIDTH:
+        if all(isinstance(item, float) for item in items):
+            # a float renders the same at any indent and on one line
+            parts = [_fmt_float(item) for item in items]
+            inline = "[" + ", ".join(parts) + "]"
+            if len(inline) <= _INLINE_WIDTH:
                 return inline
-        rows = [child_pad + _render(item, indent + 2) for item in items]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        else:
+            if not any(_contains_dict(item) for item in items):
+                inline = "[" + ", ".join(_render(item, 0) for item in items) + "]"
+                if "\n" not in inline and len(inline) <= _INLINE_WIDTH:
+                    return inline
+            parts = [_render(item, indent + 2) for item in items]
+        return "[\n" + ",\n".join(child_pad + part for part in parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -90,16 +104,43 @@ def dumps_state(state: SCState) -> str:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    if not np.isfinite(value):
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: integer too large for a double") from None
+    if not math.isfinite(x):
         raise ValueError(f"{where}: non-finite value {value!r}")
-    return float(value)
+    return x
+
+
+def _require_numbers(flat: list, n: int) -> np.ndarray:
+    """The re, im parts of "a" in row-major order as doubles; else the first bad one's error.
+
+    One type check and one finiteness check cover the usual input; only
+    when they fail does :func:`_require_number` go entry by entry.
+    """
+    if set(map(type, flat)) <= {float, int}:
+        try:
+            values = np.array(flat, dtype=float)
+        except OverflowError:  # an integer beyond the double range
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return np.array([_require_number(v, _entry_path(i, n)) for i, v in enumerate(flat)])
+
+
+def _entry_path(i: int, n: int) -> str:
+    m, rest = divmod(i, 2 * n)
+    return f'"a"[{m}][{rest // 2}][{rest % 2}]'
 
 
 def state_from_dict(data) -> SCState:
     """Validate the {"k", "N", "a"} state layout and build the state.
 
     Rejects ragged rows, malformed complex pairs, and non-finite numbers
-    with the offending JSON path in the message; coefficient-matrix
+    (and integers beyond the double range) with the offending JSON path in
+    the message, the first in row-major order; coefficient-matrix
     validation (Hermiticity, trace, positivity) then applies as usual.
     """
     if not isinstance(data, dict):
@@ -114,18 +155,19 @@ def state_from_dict(data) -> SCState:
         raise ValueError(f'"N": expected an integer >= 2, got {n!r}')
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f'"a": expected {n} rows, got {_shape_word(rows)}')
-    a = np.zeros((n, n), dtype=complex)
+    flat = []
     for m, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
+            _require_numbers(flat, n)  # a bad number before this row is reported first
             raise ValueError(f'"a"[{m}]: expected {n} entries, got {_shape_word(row)}')
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
+                _require_numbers(flat, n)
                 raise ValueError(
                     f'"a"[{m}][{j}]: expected a [re, im] pair, got {entry!r}'
                 )
-            re = _require_number(entry[0], f'"a"[{m}][{j}][0]')
-            im = _require_number(entry[1], f'"a"[{m}][{j}][1]')
-            a[m, j] = complex(re, im)
+            flat += entry
+    a = _require_numbers(flat, n).view(complex).reshape(n, n)  # exact: (re, im) stored as read
     return new_sc_state(k, n, a)
 
 
@@ -137,9 +179,16 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite constant {token!r} is not allowed")
 
 
+#: One decoder for every call: ``json.loads`` with a keyword argument builds a new one each time.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def loads_state(text: str) -> SCState:
     """Parse a canonical state JSON document (see :func:`state_from_dict`)."""
-    data = json.loads(text, parse_constant=_reject_constant)
+    if isinstance(text, str) and not text.startswith("\ufeff"):
+        data = _DECODER.decode(text)
+    else:  # json.loads decodes bytes and words the byte-order-mark error
+        data = json.loads(text, parse_constant=_reject_constant)
     return state_from_dict(data)
 
 

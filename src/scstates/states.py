@@ -11,6 +11,7 @@ only ever appears inside :mod:`scstates.oracle`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,13 +35,23 @@ RANK_TOL = 1e-12
 
 def coeff_rank(a: np.ndarray) -> int:
     """Number of eigenvalues of the Hermitian matrix ``a`` above ``RANK_TOL``."""
-    return int((np.linalg.eigvalsh(a) > RANK_TOL).sum())
+    return _rank(np.linalg.eigvalsh(a))
+
+
+def _rank(eigenvalues: np.ndarray) -> int:
+    return int((eigenvalues > RANK_TOL).sum())
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _spectrum(a: np.ndarray) -> np.ndarray:
+    eigenvalues = np.linalg.eigvalsh(a)
+    eigenvalues.setflags(write=False)
+    return eigenvalues
 
 
 def validate_coeff_matrix(a) -> np.ndarray:
@@ -58,6 +69,11 @@ def validate_coeff_matrix(a) -> np.ndarray:
     ValueError
         For non-square or non-finite input.
     """
+    return _validate(a)[0]
+
+
+def _validate(a) -> tuple:
+    """:func:`validate_coeff_matrix`, plus the eigenvalues its PSD check computed."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
@@ -81,16 +97,17 @@ def validate_coeff_matrix(a) -> np.ndarray:
         )
 
     try:
-        eigmin = float(np.linalg.eigvalsh(h).min())
+        eigenvalues = _spectrum(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on tiny inputs
         raise EigenConvergenceError(f"eigensolver failed during validation: {exc}") from exc
+    eigmin = float(eigenvalues.min())
     if eigmin < -DEFAULT_TOL:
         raise NotPSDError(
             f"matrix is not positive semidefinite: min eigenvalue {eigmin:.3e} "
             f"below -{DEFAULT_TOL:.1e}",
             violation=float(-eigmin),
         )
-    return _frozen(h)
+    return _frozen(h), eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +134,19 @@ class SCState:
     def dim(self) -> int:
         """Local dimension N."""
         return self.a.shape[0]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``a`` (``eigvalsh``), computed once, write-protected.
+
+        :func:`new_sc_state` fills this from its positivity check.
+        """
+        return _spectrum(self.a)
+
+    @property
+    def rank(self) -> int:
+        """``coeff_rank(a)``, read from :attr:`eigenvalues`."""
+        return _rank(self.eigenvalues)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +205,11 @@ def new_sc_state(parties: int, dim: int, a) -> SCState:
     arr = np.asarray(a, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {arr.shape}")
-    return SCState(parties=int(parties), a=validate_coeff_matrix(arr))
+    h, eigenvalues = _validate(arr)
+    state = SCState(parties=int(parties), a=h)
+    # the positivity check's spectrum, so that no caller runs eigvalsh again
+    state.__dict__["eigenvalues"] = eigenvalues
+    return state
 
 
 def new_pure_sc_state(parties: int, amplitudes) -> PureSCState:

@@ -8,7 +8,7 @@ import pytest
 
 from scstates import cli, is_fully_separable, oracle, separability, verify
 from scstates.serialize import canonical_dumps, dumps_state, loads_state
-from scstates.states import ghz, new_sc_state, pure_to_mixed
+from scstates.states import ghz, new_sc_state, pure_to_mixed, random_sc_state
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +229,36 @@ def test_analyze_input_error_exits_2(capsys, tmp_path):
     )
     code, _, err = run_cli(capsys, "analyze", str(unnormalized))
     assert code == 2 and "trace" in err.lower()
+
+
+def test_analyze_huge_integer_exits_2(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"k": 2, "N": 2, "a": [[[1%s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}'
+        % ("0" * 400)
+    )
+    code, _, err = run_cli(capsys, "analyze", str(huge))
+    assert code == 2 and '"a"[0][0][0]: integer too large for a double' in err
+
+
+def test_plain_analyze_runs_one_eigensolver_call(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "full.json"
+    path.write_text(dumps_state(random_sc_state(3, 4, 7)))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("plain analyze of a full-rank state called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, stdout, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0 and json.loads(stdout)["slocc"] is None
+    assert len(calls) == 1
 
 
 def test_random_is_deterministic_and_analyzable(capsys, tmp_path):

@@ -18,7 +18,13 @@ from scstates import (
     realignment_norm,
     witness_expectation,
 )
-from scstates.oracle import dense_from_sc, hermitian_eigen, partial_transpose, su_generators
+from scstates.oracle import (
+    dense_from_sc,
+    hermitian_eigen,
+    partial_transpose,
+    repeated_basis_index,
+    su_generators,
+)
 from scstates.verify import bloch_coefficients
 
 THREE_QUBIT_MIXED = [[2 / 3, 1 / 3], [1 / 3, 1 / 3]]
@@ -57,6 +63,60 @@ def test_pt_spectrum_subset_independent():
     for subset in ([1], [2], [3], [1, 2], [1, 3], [2, 3]):
         vals, _ = hermitian_eigen(partial_transpose(rho, subset, [2, 2, 2]))
         assert np.abs(vals - expected).max() <= 1e-9
+
+
+def _sample_states():
+    """Random mixed, rank-one and diagonal states, N = 2..8, with k up to 25 (8^25 > 2^63)."""
+    rng = np.random.default_rng(104)
+    states = [random_sc_state(int(rng.integers(2, 6)), int(rng.integers(2, 9)), rng) for _ in range(20)]
+    states += [random_sc_state(25, 8, rng), pure_to_mixed(ghz(25, 8))]
+    states += [new_sc_state(3, 3, np.diag([0.2, 0.3, 0.5]))]
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = [[0.25, 0.25j], [-0.25j, 0.25]]
+    a[2, 2] = a[3, 3] = 0.25  # some pairs zero, some not
+    return states + [new_sc_state(4, 4, a)]
+
+
+def test_pt_spectrum_pair_magnitudes_equal_scalar_abs_bitwise():
+    for st in _sample_states():
+        a = st.a
+        expected = np.array([abs(a[m, j]) for m in range(st.dim) for j in range(m + 1, st.dim)])
+        assert pt_spectrum(st).pair_magnitudes.tobytes() == expected.tobytes()
+
+
+def _reference_witness(state):
+    """The witness's terms and source pairs as the per-pair loop built them."""
+    a = state.a
+    n, k = state.dim, state.parties
+    lead = n ** (k - 1)
+    terms, pairs = [], []
+    for m in range(n):
+        for j in range(m + 1, n):
+            amn = a[m, j]
+            if amn == 0:
+                continue
+            pairs.append((m, j))
+            phase = np.exp(1j * np.angle(amn))
+            idx_mn = m * lead + repeated_basis_index(j, k - 1, n)
+            idx_nm = j * lead + repeated_basis_index(m, k - 1, n)
+            rep_m = repeated_basis_index(m, k, n)
+            rep_n = repeated_basis_index(j, k, n)
+            terms.append((idx_mn, idx_mn, 0.5 + 0j))
+            terms.append((idx_nm, idx_nm, 0.5 + 0j))
+            terms.append((rep_m, rep_n, -0.5 * phase))
+            terms.append((rep_n, rep_m, -0.5 * np.conj(phase)))
+    return tuple(terms), tuple(pairs)
+
+
+def test_build_witness_matches_per_pair_loop():
+    for st in _sample_states():
+        w = build_witness(st)
+        terms, pairs = _reference_witness(st)
+        assert w.source_pairs == pairs
+        assert w.terms == terms
+        for (r, c, v), (r0, c0, v0) in zip(w.terms, terms):
+            assert type(r) is int and type(c) is int  # exact beyond int64
+            assert np.complex128(v).tobytes() == np.complex128(v0).tobytes()
 
 
 def test_is_fully_separable():
