@@ -80,7 +80,7 @@ def _slocc_summary(state):
     """SLOCC classification for rank-one (pure) inputs, else None."""
     if state.rank != 1:
         return None
-    _, vecs = np.linalg.eigh(state.a)
+    _, vecs = state.spectrum
     cls = slocc.classify_pure(PureSCState(state.parties, vecs[:, -1]))
     return {"kind": cls.kind.value, "t": cls.t}
 

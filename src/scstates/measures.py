@@ -13,7 +13,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EigenConvergenceError
 from .states import RANK_TOL, SCState, new_sc_state
 
 #: Eigenvalues/populations below this are treated as exact zeros in
@@ -36,14 +35,10 @@ def negativity(state: SCState) -> float:
     Equals (trace norm of the partial transpose - 1)/2 and also
     (realignment_norm - 1)/2.  Ranges over [0, (N-1)/2]; zero exactly on
     separable states, maximal only for the uniform GHZ coefficient matrix.
-    The off-diagonal moduli are summed directly (not as a total minus the
-    diagonal), each as ``hypot`` like the scalar ``abs(a_mn)`` (numpy's
-    vectorised complex ``abs`` can differ from it by an ulp), so for
-    N = 2 it is exactly ``abs(a_01)``.
+    The off-diagonal ``state.moduli`` are summed directly (not as a total
+    minus the diagonal), so for N = 2 it is exactly ``abs(a_01)``.
     """
-    a = state.a
-    moduli = np.hypot(a.real, a.imag)
-    return float(0.5 * moduli[~np.eye(state.dim, dtype=bool)].sum())
+    return float(0.5 * state.moduli[~np.eye(state.dim, dtype=bool)].sum())
 
 
 def _pure_overlap_sum(amplitudes: np.ndarray) -> float:
@@ -111,7 +106,8 @@ def roof_optimizer(
 ) -> RoofResult:
     """Minimize the average pure concurrence over ensemble decompositions.
 
-    With B the rank x N matrix of sqrt(eigenvalue)-scaled eigenvectors,
+    With B the rank x N matrix of sqrt(eigenvalue)-scaled eigenvectors
+    (from ``state.spectrum``),
     the rows of C = U B, for U any L x rank isometry, are an unnormalized
     ensemble of a, and every ensemble of size L arises this way.  The
     average concurrence is f(C) = sum_i w sqrt(S_i), with S_i =
@@ -137,10 +133,10 @@ def roof_optimizer(
     f and free of kinks, with delta stepping through ``ROOF_SMOOTHING``
     down to 0.  A stage ends when each
     start's row-weighted gradient norm is at most max(delta,
-    ``ROOF_GRAD_TOL``), or after ``ROOF_MAX_STEPS`` steps.  ``restarts``
-    starts run for each ensemble size from rank to 2 * rank (zero rows
-    pad the smaller ones and stay zero): the spectral ensemble, then
-    QR-orthonormalized Ginibre draws.
+    ``ROOF_GRAD_TOL``), or after ``ROOF_MAX_STEPS`` steps.  There are
+    ``restarts`` * (rank + 1) starts, all of size 2 * rank: the spectral
+    ensemble (padded with zero rows), then QR-orthonormalized Ginibre
+    draws.
 
     Returns the best value, a trace of (iteration, best value)
     improvements of f, and whether every start ended the last stage
@@ -151,7 +147,7 @@ def roof_optimizer(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     a = state.a
     weight = 2.0
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = state.spectrum
     keep = vals > RANK_TOL
     rank = int(keep.sum())
     if rank == 0:
@@ -183,8 +179,6 @@ def roof_optimizer(
     g = rng.standard_normal((starts - 1, size, rank)) + 1j * rng.standard_normal(
         (starts - 1, size, rank)
     )
-    kept = rank + np.arange(1, starts) % (rank + 1)
-    g[np.arange(size) >= kept[:, None]] = 0.0
     c = np.concatenate([np.eye(size, rank)[None], np.linalg.qr(g)[0]]) @ b
     it = 0
     best = float(descent(c, 0.0)[0].min())
@@ -277,12 +271,11 @@ def concurrence(
     by ``roof_optimizer(state, restarts, seed)``, whose trace and
     ``converged`` flag the report carries.
     """
-    a = state.a
-    off = np.hypot(a.real, a.imag)
+    off = state.moduli.copy()
     off.flat[:: state.dim + 1] = 0.0
     lower = float(np.sqrt(2.0 * (off**2).sum()))
     upper = float(np.sqrt(2.0 * (1.0 - 1.0 / state.dim)))
-    exact = lower if _rank_one_plus_diagonal(a, off) else None
+    exact = lower if _rank_one_plus_diagonal(state.a, off) else None
     roof_trace = roof_converged = None
 
     if exact is not None:
@@ -329,14 +322,11 @@ def relative_entropy(state: SCState, log_base: float = 2.0) -> float:
     sum_i lambda_i log lambda_i - sum_m a_mm log a_mm, where lambda_i are
     the coefficient-matrix eigenvalues (``state.eigenvalues``).  Terms with
     weight <= 1e-15 are dropped (0 log 0 = 0); the result is clamped at 0
-    against rounding.
+    against rounding.  ``log_base`` must be finite, positive and not 1.
     """
-    try:
-        vals = state.eigenvalues
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eigendecomposition of the coefficient matrix failed: {exc}"
-        ) from exc
+    if not np.isfinite(log_base) or log_base <= 0 or log_base == 1:
+        raise ValueError(f"log_base must be finite, > 0 and != 1, got {log_base!r}")
+    vals = state.eigenvalues
     diag = np.diagonal(state.a).real
 
     def plogp(p: np.ndarray) -> float:

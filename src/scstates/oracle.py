@@ -147,15 +147,12 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError(f"matrix has a non-finite entry {a[where]} at {where}")
 
 
-def _coupled_rows(a: np.ndarray) -> list:
-    """(p, group, start) for each index p that shares a connected component
-    of the nonzero pattern of ``a`` with a larger index; those larger
-    indices are ``group[start:]``, ascending.  Rows come in ascending p.
+def _coupled_pairs(a: np.ndarray) -> list:
+    """The pairs (p, q), p < q, whose indices share a connected component of
+    the nonzero pattern of ``a``, in row-major order.
 
     Components are merged edge by edge over the nonzero entries above the
-    diagonal, smaller group into larger.  Every such entry is a pair the
-    first sweep visits anyway, so this costs no more than one sweep's
-    loop, and nothing of size (number of pairs) is stored.
+    diagonal, smaller group into larger.
     """
     src, dst = np.nonzero(a)
     upper = src < dst
@@ -169,11 +166,8 @@ def _coupled_rows(a: np.ndarray) -> list:
             gp.extend(gq)
             for r in gq:
                 group_of[r] = gp
-    groups = {id(g): sorted(g) for g in group_of.values()}.values()
-    rows = [
-        (p, group, start) for group in groups for start, p in enumerate(group[:-1], 1)
-    ]
-    return sorted(rows, key=lambda row: row[0])
+    pairs = [(p, q) for p, group in group_of.items() for q in group if p < q]
+    return sorted(pairs)
 
 
 def hermitian_eigen(m: np.ndarray):
@@ -188,7 +182,8 @@ def hermitian_eigen(m: np.ndarray):
     pair whose entry is exactly zero.  This is exact: a rotation on (p, q)
     rewrites only rows and columns p and q, so an entry between two
     components mixes zeros with zeros and stays zero, and the full scan
-    would skip it anyway.
+    would skip it anyway.  For the same reason the off-diagonal norm is
+    sqrt(2) times the norm of the entries at those pairs.
 
     ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
     exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.
@@ -211,46 +206,36 @@ def hermitian_eigen(m: np.ndarray):
     a = (a + a.conj().T) / 2.0
     v = np.eye(n, dtype=complex)
     norm = float(np.linalg.norm(a))
-    if norm == 0.0 or n == 1:
-        vals = np.real(np.diagonal(a)).copy()
-        order = np.argsort(vals, kind="stable")
-        return vals[order], v[:, order]
-
-    rows = _coupled_rows(a)
+    pairs = _coupled_pairs(a)
+    pp, qq = np.array(pairs, dtype=int).reshape(-1, 2).T
     conv_tol = 1e-12
-    converged = False
-    for _ in range(100):
-        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
+    for sweep in range(101):
+        off = np.sqrt(2.0) * np.linalg.norm(a[pp, qq])
         if off <= conv_tol * norm:
-            converged = True
             break
-        for p, group, start in rows:
-            for q in group[start:]:
-                if a[p, q] == 0.0:
-                    continue
-                c, s, phase = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
-                # unitary U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase), U[q,q]=c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * cq
-                a[:, q] = s * phase * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
-        converged = off <= conv_tol * norm
-    if not converged:
-        raise EigenConvergenceError(
-            f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} "
-            f"above {conv_tol:.0e} * {norm:.3e} after 100 sweeps"
-        )
+        if sweep == 100:
+            raise EigenConvergenceError(
+                f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} "
+                f"above {conv_tol:.0e} * {norm:.3e} after 100 sweeps"
+            )
+        for p, q in pairs:
+            if a[p, q] == 0.0:
+                continue
+            c, s, phase = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
+            # unitary U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase), U[q,q]=c
+            rp, rq = a[p, :].copy(), a[q, :].copy()
+            a[p, :] = c * rp - s * phase * rq
+            a[q, :] = s * np.conj(phase) * rp + c * rq
+            cp, cq = a[:, p].copy(), a[:, q].copy()
+            a[:, p] = c * cp - s * np.conj(phase) * cq
+            a[:, q] = s * phase * cp + c * cq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a[p, p] = a[p, p].real
+            a[q, q] = a[q, q].real
+            vp, vq = v[:, p].copy(), v[:, q].copy()
+            v[:, p] = c * vp - s * np.conj(phase) * vq
+            v[:, q] = s * phase * vp + c * vq
     vals = np.real(np.diagonal(a)).copy()
     order = np.argsort(vals, kind="stable")
     return vals[order], v[:, order]

@@ -72,12 +72,9 @@ def pt_spectrum(state: SCState) -> PTSpectrum:
     party subset; subset independence is asserted by the oracle suite
     rather than assumed.
     """
-    a = state.a
     n = state.dim
-    iu = _pair_indices(n)
-    diag = np.diagonal(a).real.copy()
-    # hypot, not the vectorised complex abs, which can differ from abs(a_mn) by an ulp
-    pairs = np.hypot(a.real[iu], a.imag[iu])
+    diag = np.diagonal(state.a).real.copy()
+    pairs = state.moduli[_pair_indices(n)]
     zero_mult = state.dim**state.parties - n * n
     return PTSpectrum(diagonal=diag, pair_magnitudes=pairs, zero_multiplicity=zero_mult)
 
@@ -89,9 +86,7 @@ def is_fully_separable(state: SCState, tol: float = DEFAULT_SEP_TOL) -> bool:
     partial transpositions and to full separability; a negative verdict
     means genuine multipartite entanglement.
     """
-    a = state.a
-    off = a - np.diag(np.diagonal(a))
-    return float(np.abs(off).max()) <= tol
+    return float(state.moduli[~np.eye(state.dim, dtype=bool)].max()) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +170,7 @@ def witness_expectation(w: Witness, target: SCState) -> float:
         raise TypeError(f"target must be an SCState, got {type(target).__name__}")
     if target.dim != w.dims[0] or target.parties != len(w.dims):
         raise ValueError(
-            f"dimension mismatch: witness on {w.dims}, "
+            f"dimension mismatch: witness has (k, N) = ({len(w.dims)}, {w.dims[0]}), "
             f"state has (k, N) = ({target.parties}, {target.dim})"
         )
     unit = repeated_basis_index(1, target.parties, target.dim)
@@ -192,11 +187,11 @@ def witness_expectation(w: Witness, target: SCState) -> float:
 def realignment_norm(state: SCState) -> float:
     """Trace norm of the realigned density matrix (split party 1 | rest).
 
-    Equals sum_{m,n} |a_mn| in closed form; ranges over [1, N], hitting 1
-    exactly for separable states and N only for the uniform maximally
-    entangled coefficient matrix.
+    Equals sum_{m,n} |a_mn| (``state.moduli``) in closed form; ranges over
+    [1, N], hitting 1 exactly for separable states and N only for the
+    uniform maximally entangled coefficient matrix.
     """
-    return float(np.abs(state.a).sum())
+    return float(state.moduli.sum())
 
 
 @dataclass(frozen=True, eq=False)

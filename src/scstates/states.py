@@ -33,25 +33,27 @@ DEFAULT_TOL = 1e-10
 RANK_TOL = 1e-12
 
 
-def coeff_rank(a: np.ndarray) -> int:
-    """Number of eigenvalues of the Hermitian matrix ``a`` above ``RANK_TOL``."""
-    return _rank(np.linalg.eigvalsh(a))
-
-
-def _rank(eigenvalues: np.ndarray) -> int:
-    return int((eigenvalues > RANK_TOL).sum())
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
 
 
-def _spectrum(a: np.ndarray) -> np.ndarray:
-    eigenvalues = np.linalg.eigvalsh(a)
+def _spectrum(a: np.ndarray) -> tuple:
+    """(ascending eigenvalues, eigenvector columns) of ``a`` from one ``eigh``, write-protected.
+
+    The only eigensolver call on a coefficient matrix, and the only place
+    its ``LinAlgError`` becomes :class:`EigenConvergenceError`.
+    """
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(
+            f"eigendecomposition of the coefficient matrix failed: {exc}"
+        ) from exc
     eigenvalues.setflags(write=False)
-    return eigenvalues
+    eigenvectors.setflags(write=False)
+    return eigenvalues, eigenvectors
 
 
 def validate_coeff_matrix(a) -> np.ndarray:
@@ -73,7 +75,7 @@ def validate_coeff_matrix(a) -> np.ndarray:
 
 
 def _validate(a) -> tuple:
-    """:func:`validate_coeff_matrix`, plus the eigenvalues its PSD check computed."""
+    """:func:`validate_coeff_matrix`, plus the spectrum its PSD check computed."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
@@ -96,18 +98,15 @@ def _validate(a) -> tuple:
             violation=trace_defect,
         )
 
-    try:
-        eigenvalues = _spectrum(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on tiny inputs
-        raise EigenConvergenceError(f"eigensolver failed during validation: {exc}") from exc
-    eigmin = float(eigenvalues.min())
+    spectrum = _spectrum(h)
+    eigmin = float(spectrum[0].min())
     if eigmin < -DEFAULT_TOL:
         raise NotPSDError(
             f"matrix is not positive semidefinite: min eigenvalue {eigmin:.3e} "
             f"below -{DEFAULT_TOL:.1e}",
             violation=float(-eigmin),
         )
-    return _frozen(h), eigenvalues
+    return _frozen(h), spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,17 +135,35 @@ class SCState:
         return self.a.shape[0]
 
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of ``a`` (``eigvalsh``), computed once, write-protected.
+    def spectrum(self) -> tuple:
+        """``(eigenvalues, eigenvectors)`` of ``a`` from one ``eigh``, computed once.
 
-        :func:`new_sc_state` fills this from its positivity check.
+        Eigenvalues ascend, with matching eigenvector columns; both arrays
+        are write-protected.  :func:`new_sc_state` fills this from its
+        positivity check, so no caller diagonalizes ``a`` again.
         """
         return _spectrum(self.a)
 
     @property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``a``, read from :attr:`spectrum`."""
+        return self.spectrum[0]
+
+    @property
     def rank(self) -> int:
-        """``coeff_rank(a)``, read from :attr:`eigenvalues`."""
-        return _rank(self.eigenvalues)
+        """Number of eigenvalues above ``RANK_TOL``, read from :attr:`spectrum`."""
+        return int((self.eigenvalues > RANK_TOL).sum())
+
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        """|a_mn| as ``hypot(a.real, a.imag)``, computed once, write-protected.
+
+        ``hypot`` matches the scalar ``abs(a_mn)`` bit for bit; numpy's
+        vectorised complex ``abs`` can differ from it by an ulp.
+        """
+        out = np.hypot(self.a.real, self.a.imag)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +222,9 @@ def new_sc_state(parties: int, dim: int, a) -> SCState:
     arr = np.asarray(a, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {arr.shape}")
-    h, eigenvalues = _validate(arr)
+    h, spectrum = _validate(arr)
     state = SCState(parties=int(parties), a=h)
-    # the positivity check's spectrum, so that no caller runs eigvalsh again
-    state.__dict__["eigenvalues"] = eigenvalues
+    state.__dict__["spectrum"] = spectrum  # the positivity check's eigendecomposition
     return state
 
 
@@ -256,12 +272,9 @@ def spectral_ensemble(state: SCState) -> Ensemble:
 
     Components are (eigenvalue, eigenvector) pairs ordered by descending
     weight; eigenvalues at or below ``RANK_TOL`` are dropped, so there are
-    ``coeff_rank(state.a)`` components.
+    ``state.rank`` components.
     """
-    try:
-        lam, vec = np.linalg.eigh(state.a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    lam, vec = state.spectrum
     comps = []
     for i in np.flatnonzero(lam > RANK_TOL)[::-1]:  # descending
         comps.append(
@@ -297,7 +310,7 @@ def equal_modulus_ensemble(state: SCState) -> Ensemble:
         c /= np.linalg.norm(c)
         return Ensemble(components=((1.0, PureSCState(state.parties, c)),))
 
-    ratio = abs(a[0, 1]) / np.sqrt(a00 * a11)
+    ratio = state.moduli[0, 1] / np.sqrt(a00 * a11)
     alpha = np.angle(a[0, 1])
     if ratio >= 1.0 - 1e-12:
         # rank one (pure) up to round-off: one component carries the phase

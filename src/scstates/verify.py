@@ -81,10 +81,10 @@ def relative_entropy_residual(state: SCState) -> float:
 
 
 def state_spectrum_residual(state: SCState) -> float:
-    """Dense spectrum of rho vs coefficient-matrix spectrum plus padding zeros."""
+    """Dense spectrum of rho vs ``state.eigenvalues`` plus padding zeros."""
     rho = oracle.dense_from_sc(state)
     vals, _ = oracle.hermitian_eigen(rho)
-    small = np.linalg.eigvalsh(state.a)
+    small = state.eigenvalues
     expected = np.sort(np.concatenate([small, np.zeros(vals.size - small.size)]))
     return float(np.abs(vals - expected).max())
 

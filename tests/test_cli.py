@@ -242,23 +242,28 @@ def test_analyze_huge_integer_exits_2(capsys, tmp_path):
 
 
 def test_plain_analyze_runs_one_eigensolver_call(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "full.json"
-    path.write_text(dumps_state(random_sc_state(3, 4, 7)))
+    # one eigh, inside validation, whose eigenvectors also serve the SLOCC summary
+    full = random_sc_state(3, 4, 7)
+    pure = pure_to_mixed(ghz(3, 4))
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    eigh = np.linalg.eigh
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return eigvalsh(*args, **kwargs)
+        return eigh(*args, **kwargs)
 
     def fail(*args, **kwargs):
-        raise AssertionError("plain analyze of a full-rank state called eigh")
+        raise AssertionError("plain analyze called eigvalsh")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    code, stdout, _ = run_cli(capsys, "analyze", str(path))
-    assert code == 0 and json.loads(stdout)["slocc"] is None
-    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    for state, slocc in ((full, None), (pure, {"kind": "ghz_class", "t": 4})):
+        path = tmp_path / "state.json"
+        path.write_text(dumps_state(state))
+        calls.clear()
+        code, stdout, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and json.loads(stdout)["slocc"] == slocc
+        assert len(calls) == 1
 
 
 def test_random_is_deterministic_and_analyzable(capsys, tmp_path):

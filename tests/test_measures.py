@@ -339,6 +339,13 @@ def test_relative_entropy_values():
     assert relative_entropy(new_sc_state(2, 3, np.diag([0.1, 0.4, 0.5]))) == 0.0
 
 
+@pytest.mark.parametrize("log_base", [float("inf"), float("nan"), 0.0, -2.0, 1.0])
+def test_relative_entropy_rejects_bad_log_base(log_base):
+    st = new_sc_state(3, 2, THREE_QUBIT_MIXED)
+    with pytest.raises(ValueError, match="log_base"):
+        relative_entropy(st, log_base)
+
+
 def test_relative_entropy_log_bases():
     st = new_sc_state(3, 2, THREE_QUBIT_MIXED)
     bits = relative_entropy(st, log_base=2.0)

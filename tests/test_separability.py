@@ -1,5 +1,6 @@
 """Partial-transpose spectra, witnesses, realignment, and the Bloch test."""
 
+import re
 import time
 
 import numpy as np
@@ -194,6 +195,10 @@ def test_witness_dimension_mismatch():
     w = build_witness(pure_to_mixed(ghz(2, 2)))
     with pytest.raises(ValueError):
         witness_expectation(w, pure_to_mixed(ghz(3, 2)))
+    w = build_witness(pure_to_mixed(ghz(2, 3)))
+    message = "witness has (k, N) = (2, 3), state has (k, N) = (3, 3)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        witness_expectation(w, pure_to_mixed(ghz(3, 3)))
     with pytest.raises(TypeError):
         witness_expectation(w, np.eye(4) / 4)
 

@@ -1,5 +1,7 @@
 """Core state construction, validation, and ensemble realizations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from scstates import (
     spectral_ensemble,
     validate_coeff_matrix,
 )
-from scstates.states import coeff_rank
 
 RNG_SEED = 20240811
 
@@ -36,6 +37,21 @@ def test_stored_matrix_is_write_protected():
     st = new_sc_state(2, 2, np.eye(2) / 2)
     with pytest.raises(ValueError):
         st.a[0, 0] = 0.9
+
+
+def test_spectrum_and_moduli_are_read_only_and_cached():
+    for st in (random_sc_state(3, 4, 11), pure_to_mixed(random_pure_sc_state(2, 3, 12))):
+        vals, vecs = st.spectrum
+        assert st.spectrum is st.spectrum and st.moduli is st.moduli
+        assert st.eigenvalues is vals
+        assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - st.a).max() <= 1e-14
+        assert np.array_equal(st.moduli, [[abs(z) for z in row] for row in st.a])
+        for arr in (vals, vecs, st.moduli):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        for name in ("spectrum", "moduli", "eigenvalues", "rank"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(st, name, None)
 
 
 def test_validation_symmetrizes_hermitian_dust():
@@ -117,7 +133,7 @@ def test_spectral_ensemble_drops_null_weights():
 )
 def test_spectral_ensemble_size_is_the_rank_at_the_rank_tolerance(eps, rank):
     st = new_sc_state(2, 3, np.diag([0.75 - eps, 0.25, eps]))
-    assert coeff_rank(st.a) == rank
+    assert st.rank == rank
     assert len(spectral_ensemble(st).components) == rank
 
 
