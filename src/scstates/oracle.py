@@ -147,17 +147,14 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError(f"matrix has a non-finite entry {a[where]} at {where}")
 
 
-def _coupled_pairs(a: np.ndarray) -> list:
+def _coupled_pairs(src, dst) -> list:
     """The pairs (p, q), p < q, whose indices share a connected component of
-    the nonzero pattern of ``a``, in row-major order.
+    the graph with the edges (src[i], dst[i]), in row-major order.
 
-    Components are merged edge by edge over the nonzero entries above the
-    diagonal, smaller group into larger.
+    Components are merged edge by edge, smaller group into larger.
     """
-    src, dst = np.nonzero(a)
-    upper = src < dst
     group_of = {}
-    for p, q in zip(src[upper].tolist(), dst[upper].tolist()):
+    for p, q in zip(src.tolist(), dst.tolist()):
         gp = group_of.setdefault(p, [p])
         gq = group_of.setdefault(q, [q])
         if gp is not gq:
@@ -170,43 +167,61 @@ def _coupled_pairs(a: np.ndarray) -> list:
     return sorted(pairs)
 
 
-def hermitian_eigen(m: np.ndarray):
+def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
     Sweeps zero out one off-diagonal entry at a time with a unitary 2x2
     rotation until the off-diagonal Frobenius norm falls below 1e-12
     times the matrix norm (at most 100 sweeps).
 
-    A sweep visits, in row-major order, only the pairs (p, q) whose indices
-    lie in one connected component of the nonzero pattern, and skips a
-    pair whose entry is exactly zero.  This is exact: a rotation on (p, q)
-    rewrites only rows and columns p and q, so an entry between two
-    components mixes zeros with zeros and stays zero, and the full scan
-    would skip it anyway.  For the same reason the off-diagonal norm is
-    sqrt(2) times the norm of the entries at those pairs.
+    The set-up reads only the nonzero pattern of ``m`` OR-ed with its
+    transpose: the finiteness and Hermitian checks, the symmetrised
+    entries (m + m^dag)/2, the norm and the coupled pairs all come from
+    the entries gathered there, so it costs one comparison of the whole
+    matrix plus work per nonzero.  A sweep visits, in row-major order, only
+    the pairs (p, q) whose indices lie in one connected component of that
+    pattern, and skips a pair whose entry is exactly zero.  This is exact:
+    a rotation on (p, q) rewrites only rows and columns p and q, so an
+    entry between two components mixes zeros with zeros and stays zero,
+    and the full scan would skip it anyway.  For the same reason the
+    off-diagonal norm is sqrt(2) times the norm of the entries at those
+    pairs.
 
     ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
-    exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.
+    exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.  A
+    non-finite entry raises ``ValueError`` naming the first one in
+    row-major order, before any sweep.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and matching
     eigenvector columns; reconstruction ``V diag(w) V^dag`` and column
-    orthonormality hold to well below 1e-9 for desk-scale matrices.
+    orthonormality hold to well below 1e-9 for desk-scale matrices.  With
+    ``vectors=False`` only the values are returned, bit-identical to the
+    first item of the full result, and no eigenvector is accumulated.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    _check_finite(a)
-    defect = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    pattern = a != 0
+    rows, cols = np.nonzero(pattern | pattern.T)
+    entries, mirrored = a[rows, cols], a[cols, rows].conj()
+    bad = np.flatnonzero(~np.isfinite(entries))
+    if bad.size:
+        where = (int(rows[bad[0]]), int(cols[bad[0]]))
+        raise ValueError(f"matrix has a non-finite entry {a[where]} at {where}")
+    defect = float(np.abs(entries - mirrored).max()) if entries.size else 0.0
     if defect > DEFAULT_TOL:
         raise NotHermitianError(
             f"matrix is not Hermitian: worst defect {defect:.3e} exceeds {DEFAULT_TOL:.1e}",
             violation=defect,
         )
     n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(a))
-    pairs = _coupled_pairs(a)
+    entries = (entries + mirrored) / 2.0
+    a = np.zeros((n, n), dtype=complex)
+    a[rows, cols] = entries
+    v = np.eye(n, dtype=complex) if vectors else None
+    norm = float(np.linalg.norm(entries))
+    upper = rows < cols
+    pairs = _coupled_pairs(rows[upper], cols[upper])
     pp, qq = np.array(pairs, dtype=int).reshape(-1, 2).T
     conv_tol = 1e-12
     for sweep in range(101):
@@ -233,11 +248,14 @@ def hermitian_eigen(m: np.ndarray):
             a[q, p] = 0.0
             a[p, p] = a[p, p].real
             a[q, q] = a[q, q].real
-            vp, vq = v[:, p].copy(), v[:, q].copy()
-            v[:, p] = c * vp - s * np.conj(phase) * vq
-            v[:, q] = s * phase * vp + c * vq
+            if vectors:
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * np.conj(phase) * vq
+                v[:, q] = s * phase * vp + c * vq
     vals = np.real(np.diagonal(a)).copy()
     order = np.argsort(vals, kind="stable")
+    if not vectors:
+        return vals[order]
     return vals[order], v[:, order]
 
 
@@ -305,7 +323,11 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     Eigenvalues below -``DENSITY_TOL`` raise :class:`NotPSDError`, a trace
     off 1 by more than that raises ``ValueError``.
     """
-    vals, _ = hermitian_eigen(m)
+    return _spectrum_entropy(hermitian_eigen(m, vectors=False))
+
+
+def _spectrum_entropy(vals: np.ndarray) -> float:
+    """:func:`von_neumann_entropy` of a density matrix with eigenvalues ``vals``."""
     if vals.min() < -DENSITY_TOL:
         raise NotPSDError(
             f"matrix has eigenvalue {vals.min():.3e} below -{DENSITY_TOL:.1e}",
@@ -317,19 +339,22 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     return float(-(lam * np.log(lam)).sum() / np.log(2.0))
 
 
-def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray, *, rho_values=None) -> float:
     """Relative entropy Tr[rho log2 rho - rho log2 sigma] from dense matrices.
 
-    The first term is -S(rho) from :func:`von_neumann_entropy` (so rho
-    must be a density matrix); sigma is eigendecomposed with the Jacobi
-    solver, and its support is every eigenvalue above 1e-12 times the
-    largest.  If rho has weight beyond 1e-9 outside that support the
+    The first term is -S(rho) as :func:`von_neumann_entropy` computes it
+    (so rho must be a density matrix), from ``rho_values`` when the caller
+    already holds rho's Jacobi eigenvalues.  sigma is eigendecomposed with
+    the Jacobi solver, and its support is every eigenvalue above 1e-12
+    times the largest.  The overlaps <v_i|rho|v_i> with sigma's
+    eigenvectors are the column sums of conj(V) * (rho V), one BLAS
+    product.  If rho has weight beyond 1e-9 outside that support the
     result is ``inf`` (the flagged value for a support violation).
     """
-    entropy = von_neumann_entropy(rho)
+    entropy = von_neumann_entropy(rho) if rho_values is None else _spectrum_entropy(rho_values)
     vals_s, vecs_s = hermitian_eigen(sigma)
     support = vals_s > 1e-12 * max(float(vals_s[-1]), 0.0)
-    overlaps = np.einsum("ij,jk,ki->i", vecs_s.conj().T, rho, vecs_s).real
+    overlaps = (vecs_s.conj() * (rho @ vecs_s)).sum(axis=0).real
     leakage = float(np.trace(rho).real - overlaps[support].sum())
     if leakage > 1e-9:
         return float("inf")

@@ -5,7 +5,10 @@ on the explicit N^k x N^k matrices (dense construction + the internal
 Jacobi eigensolver, never the fast path) and returns the absolute
 disagreement.  ``state_residuals`` runs them all on one state (``analyze
 --oracle``), ``run_suite`` over random states (``oracle-verify``), and
-``check_entries`` applies the one tolerance rule to either result.
+``check_entries`` applies the one tolerance rule to either result.  Each
+check takes an optional ``dense``, the :class:`_DenseViews` through which
+``state_residuals`` shares rho and its spectra among them; a check called
+without it builds what it reads itself.
 
 The witness is also checked on random fully separable states.  Tr[W sigma]
 is linear in sigma, so its minimum over them is reached on product pure
@@ -13,6 +16,8 @@ states: ``random_product_mixture`` draws a whole batch of those at once as
 local factors, and ``witness_residuals`` evaluates <v|W|v> on all of them
 together from the witness's sparse terms.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -30,60 +35,88 @@ def _all_proper_subsets(parties: int):
         yield [p for p in full if mask & (1 << (p - 1))]
 
 
-def pt_spectrum_residual(state: SCState) -> float:
+class _DenseViews:
+    """The dense rho of one state and the two Jacobi spectra several checks
+    read, each built on first use.
+
+    ``state_residuals`` hands one to all its checks, so rho is built once
+    and rho and rho^{T_1} are diagonalised once each; a check called on
+    its own makes its own.  Nothing here outlives the call that made it.
+    """
+
+    def __init__(self, state: SCState):
+        self.state = state
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return oracle.dense_from_sc(self.state)
+
+    @cached_property
+    def rho_values(self) -> np.ndarray:
+        """Jacobi eigenvalues of rho, ascending."""
+        return oracle.hermitian_eigen(self.rho, vectors=False)
+
+    @cached_property
+    def pt1_values(self) -> np.ndarray:
+        """Jacobi eigenvalues of rho^{T_1}, the partial transpose on party 1, ascending."""
+        dims = [self.state.dim] * self.state.parties
+        return oracle.hermitian_eigen(oracle.partial_transpose(self.rho, [1], dims), vectors=False)
+
+
+def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
     """Closed-form PT spectrum vs dense eigenvalues, over all proper subsets.
 
     Only the 2^(k-1) - 1 subsets S holding party 1 are diagonalised:
     rho^{T_{S^c}} = (rho^{T_S})^T = conj(rho^{T_S}), with the same Jacobi values.
     """
-    rho = oracle.dense_from_sc(state)
+    dense = dense or _DenseViews(state)
     dims = [state.dim] * state.parties
     spectrum = separability.pt_spectrum(state)
     pairs, zeros = spectrum.pair_magnitudes, np.zeros(spectrum.zero_multiplicity)
     expected = np.sort(np.concatenate([spectrum.diagonal, pairs, -pairs, zeros]))
     worst = 0.0
     for subset in (s for s in _all_proper_subsets(state.parties) if s[0] == 1):
-        pt = oracle.partial_transpose(rho, subset, dims)
-        vals, _ = oracle.hermitian_eigen(pt)
+        if subset == [1]:
+            vals = dense.pt1_values
+        else:
+            pt = oracle.partial_transpose(dense.rho, subset, dims)
+            vals = oracle.hermitian_eigen(pt, vectors=False)
         worst = max(worst, float(np.abs(vals - expected).max()))
     return worst
 
 
-def realignment_residual(state: SCState) -> float:
+def realignment_residual(state: SCState, *, dense=None) -> float:
     """Sum-of-moduli closed form vs trace norm of the realigned dense matrix."""
-    rho = oracle.dense_from_sc(state)
+    dense = dense or _DenseViews(state)
     n, k = state.dim, state.parties
-    r = oracle.realign(rho, n, n ** (k - 1))
-    dense = oracle.trace_norm(r)
-    return abs(dense - separability.realignment_norm(state))
+    r = oracle.realign(dense.rho, n, n ** (k - 1))
+    return abs(oracle.trace_norm(r) - separability.realignment_norm(state))
 
 
-def negativity_residual(state: SCState) -> float:
+def negativity_residual(state: SCState, *, dense=None) -> float:
     """Closed-form negativity vs (sum of |dense PT eigenvalues| - 1)/2.
 
     The PT is Hermitian, so its trace norm is read off its own Jacobi
     spectrum.
     """
-    rho = oracle.dense_from_sc(state)
-    dims = [state.dim] * state.parties
-    vals, _ = oracle.hermitian_eigen(oracle.partial_transpose(rho, [1], dims))
-    dense = 0.5 * (float(np.abs(vals).sum()) - 1.0)
-    return abs(dense - measures.negativity(state))
+    dense = dense or _DenseViews(state)
+    value = 0.5 * (float(np.abs(dense.pt1_values).sum()) - 1.0)
+    return abs(value - measures.negativity(state))
 
 
-def relative_entropy_residual(state: SCState) -> float:
+def relative_entropy_residual(state: SCState, *, dense=None) -> float:
     """N x N relative-entropy shortcut vs the dense two-matrix computation, in bits."""
-    rho = oracle.dense_from_sc(state)
+    dense = dense or _DenseViews(state)
     sigma_state = measures.optimal_separable(state).as_sc_state(state.parties)
     sigma = oracle.dense_from_sc(sigma_state)
-    dense = oracle.relative_entropy_dense(rho, sigma)
-    return abs(dense - measures.relative_entropy(state))
+    value = oracle.relative_entropy_dense(dense.rho, sigma, rho_values=dense.rho_values)
+    return abs(value - measures.relative_entropy(state))
 
 
-def state_spectrum_residual(state: SCState) -> float:
+def state_spectrum_residual(state: SCState, *, dense=None) -> float:
     """Dense spectrum of rho vs ``state.eigenvalues`` plus padding zeros."""
-    rho = oracle.dense_from_sc(state)
-    vals, _ = oracle.hermitian_eigen(rho)
+    dense = dense or _DenseViews(state)
+    vals = dense.rho_values
     small = state.eigenvalues
     expected = np.sort(np.concatenate([small, np.zeros(vals.size - small.size)]))
     return float(np.abs(vals - expected).max())
@@ -107,7 +140,7 @@ def random_product_mixture(parties: int, dim: int, rng, samples: int):
 _SAMPLE_BLOCK_BYTES = 1 << 20
 
 
-def witness_residuals(state: SCState, rng, separable_samples: int = 500):
+def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dense=None):
     """(closed-vs-dense residual on Tr[W rho], min Tr[W sigma] over samples).
 
     The first number compares both evaluation routes against the exact
@@ -132,9 +165,9 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500):
     rows = np.array([r for r, _, _ in w.terms], dtype=int)
     cols = np.array([c for _, c, _ in w.terms], dtype=int)
     values = np.array([v for _, _, v in w.terms], dtype=complex)
-    rho = oracle.dense_from_sc(state)
-    dense = float((values * rho[cols, rows]).sum().real)
-    residual = max(abs(closed - target), abs(dense - target))
+    rho = (dense or _DenseViews(state)).rho
+    on_rho = float((values * rho[cols, rows]).sum().real)
+    residual = max(abs(closed - target), abs(on_rho - target))
     if separable_samples < 1:
         return residual, float("inf")
 
@@ -198,7 +231,7 @@ def _dense_from_bloch(b: separability.BlochDecomposition) -> np.ndarray:
 
 
 def bloch_residuals(
-    state: SCState, splits=None, *, tol: float = separability.DEFAULT_SEP_TOL
+    state: SCState, splits=None, *, tol: float = separability.DEFAULT_SEP_TOL, dense=None
 ) -> float:
     """Closed-form Bloch decomposition vs the dense state, across bipartitions.
 
@@ -214,7 +247,7 @@ def bloch_residuals(
     if splits is None:
         splits = _default_splits(state.parties)
     sep = separability.is_fully_separable(state, tol)
-    rho = oracle.dense_from_sc(state)
+    rho = (dense or _DenseViews(state)).rho
     worst = 0.0
     for split in splits:
         b = separability.bloch_decomposition(state, split)
@@ -281,18 +314,22 @@ def state_residuals(
 ):
     """(residual per check, min Tr[W sigma]) for every oracle check on one state.
 
-    The residual functions are looked up by their module-global names on
-    each call, so patching one of them in this module reaches every caller.
-    ``rng`` is drawn from only by the witness's separable samples.
+    The checks share one :class:`_DenseViews`: rho is built once, and rho
+    and rho^{T_1} are diagonalised once each, 2^(k-1) + 1 Jacobi calls in
+    all with sigma's.  The residual functions are looked up by their
+    module-global names on each call, so patching one of them in this
+    module reaches every caller.  ``rng`` is drawn from only by the
+    witness's separable samples.
     """
-    bloch = bloch_residuals(state, splits, tol=tol)
-    w_res, w_sep = witness_residuals(state, rng, separable_samples)
+    dense = _DenseViews(state)
+    bloch = bloch_residuals(state, splits, tol=tol, dense=dense)
+    w_res, w_sep = witness_residuals(state, rng, separable_samples, dense=dense)
     residuals = {
-        "pt_spectrum": pt_spectrum_residual(state),
-        "realignment": realignment_residual(state),
-        "negativity": negativity_residual(state),
-        "relative_entropy": relative_entropy_residual(state),
-        "state_spectrum": state_spectrum_residual(state),
+        "pt_spectrum": pt_spectrum_residual(state, dense=dense),
+        "realignment": realignment_residual(state, dense=dense),
+        "negativity": negativity_residual(state, dense=dense),
+        "relative_entropy": relative_entropy_residual(state, dense=dense),
+        "state_spectrum": state_spectrum_residual(state, dense=dense),
         "witness": w_res,
         "bloch": bloch,
     }

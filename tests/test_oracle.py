@@ -5,6 +5,8 @@ so it gets cross-checked here against numpy's LAPACK eigensolver (the one
 code path the closed forms use) on random matrices.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,18 @@ def test_jacobi_rejects_non_finite_before_any_sweep(monkeypatch):
     m[7, 21] = np.nan
     with pytest.raises(ValueError, match=r"non-finite entry .* at \(7, 21\)"):
         hermitian_eigen(m)
+    # two non-finite entries, one alone in an otherwise zero row: the
+    # message names the first in row-major order, whichever of them it is
+    for lone, other in (((6, 2), (4, 9)), ((2, 7), (4, 9))):
+        m = random_hermitian(12, np.random.default_rng(16))
+        m[lone[0], :] = 0.0
+        m[:, lone[0]] = 0.0
+        m[lone] = np.inf
+        m[other] = np.nan
+        first = min(lone, other)
+        for vectors in (True, False):
+            with pytest.raises(ValueError, match=re.escape(f" at {first}") + "$"):
+                hermitian_eigen(m, vectors=vectors)
 
 
 def test_trace_norm_rejects_non_finite_before_any_sweep(monkeypatch):
@@ -278,6 +292,7 @@ def test_jacobi_is_bit_identical_to_the_full_scan(m):
     ref_vals, ref_vecs = _reference_hermitian_eigen(m)
     assert np.array_equal(vals, ref_vals)
     assert np.array_equal(vecs, ref_vecs)
+    assert np.array_equal(hermitian_eigen(m, vectors=False), ref_vals)
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 2), (3, 2), (4, 3), (6, 2)])
@@ -381,6 +396,46 @@ def test_relative_entropy_dense_support_violation():
     rho = np.eye(4) / 4
     sigma = np.diag([0.5, 0.5, 0.0, 0.0])
     assert relative_entropy_dense(rho, sigma) == np.inf
+
+
+def _reference_relative_entropy(rho, sigma):
+    """relative_entropy_dense with the overlaps <v_i|rho|v_i> from a three-operand einsum."""
+    vals_s, vecs_s = hermitian_eigen(sigma)
+    support = vals_s > 1e-12 * max(float(vals_s[-1]), 0.0)
+    overlaps = np.einsum("ij,jk,ki->i", vecs_s.conj().T, rho, vecs_s).real
+    if np.trace(rho).real - overlaps[support].sum() > 1e-9:
+        return np.inf
+    tr_r_log_s = (overlaps[support] * np.log(vals_s[support])).sum() / np.log(2.0)
+    return -von_neumann_entropy(rho) - tr_r_log_s
+
+
+def _random_density(n, rank, rng, basis=None):
+    """A random density matrix of the given rank, inside span(basis) if given."""
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    if basis is not None:
+        g = basis @ (basis.conj().T @ g)
+    w = g @ g.conj().T
+    return w / np.trace(w).real
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_relative_entropy_dense_overlaps_match_the_einsum_reference(n):
+    rng = np.random.default_rng(1700 + n)
+    rho = _random_density(n, n, rng)
+    sigma = _random_density(n, n, rng)  # full rank, eigenvectors far from permutations
+    value = relative_entropy_dense(rho, sigma)
+    assert np.isfinite(value)
+    assert abs(value - _reference_relative_entropy(rho, sigma)) <= 1e-12
+    # sigma of rank n - 2, and a rho inside its support: still finite
+    basis = np.linalg.qr(rng.standard_normal((n, n - 2)) + 1j * rng.standard_normal((n, n - 2)))[0]
+    sigma = _random_density(n, n - 2, rng, basis)
+    inside = _random_density(n, n - 2, rng, basis)
+    value = relative_entropy_dense(inside, sigma)
+    assert np.isfinite(value)
+    assert abs(value - _reference_relative_entropy(inside, sigma)) <= 1e-12
+    # the full-rank rho has weight outside that support
+    assert relative_entropy_dense(rho, sigma) == np.inf
+    assert _reference_relative_entropy(rho, sigma) == np.inf
 
 
 def _reference_su_generators(d):

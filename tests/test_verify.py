@@ -126,9 +126,9 @@ def test_pt_spectrum_residual_diagonalises_one_of_each_complementary_pair(
         subsets.append(tuple(subset))
         return transpose(m, subset, dims)
 
-    def counted_eigen(m):
+    def counted_eigen(m, **kwargs):
         calls.append(m.shape)
-        return eigen(m)
+        return eigen(m, **kwargs)
 
     monkeypatch.setattr(oracle, "partial_transpose", counted_transpose)
     monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
@@ -136,6 +136,55 @@ def test_pt_spectrum_residual_diagonalises_one_of_each_complementary_pair(
     # the complement of each subset holding party 1 has the same spectrum
     assert len(calls) == len(set(subsets)) == 2 ** (parties - 1) - 1
     assert all(1 in subset for subset in subsets)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (6, 2)])
+def test_state_residuals_diagonalise_rho_and_its_first_party_transpose_once(
+    monkeypatch, parties, dim
+):
+    eigen, calls = oracle.hermitian_eigen, []
+
+    def counted_eigen(m, **kwargs):
+        calls.append(m.shape)
+        return eigen(m, **kwargs)
+
+    monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
+    state = random_sc_state(parties, dim, 17)
+    residuals, w_sep = verify.state_residuals(state, np.random.default_rng(17), 20)
+    # 2^(k-1) - 1 transposes (rho^{T_1} among them), rho, and sigma
+    assert len(calls) == 2 ** (parties - 1) + 1
+    checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
+    assert all(entry["pass"] for entry in checks.values())
+
+
+@pytest.mark.parametrize(
+    "target, readers",
+    [("rho", {"state_spectrum", "relative_entropy"}), ("rho_t1", {"pt_spectrum", "negativity"})],
+)
+def test_state_residuals_hand_each_shared_spectrum_to_every_check_that_reads_it(
+    monkeypatch, target, readers
+):
+    state = random_sc_state(3, 3, 18)
+    corrupted = oracle.dense_from_sc(state)
+    if target == "rho_t1":
+        corrupted = oracle.partial_transpose(corrupted, [1], [3, 3, 3])
+    eigen = oracle.hermitian_eigen
+
+    def corrupting_eigen(m, **kwargs):
+        # move 1e-3 of weight from the largest eigenvalue to the smallest:
+        # the trace stays 1 and rho's spectrum stays nonnegative
+        values = eigen(m, **kwargs)
+        if np.array_equal(m, corrupted):
+            values = values.copy()
+            values[0] += 1e-3
+            values[-1] -= 1e-3
+            values.sort()
+        return values
+
+    monkeypatch.setattr(oracle, "hermitian_eigen", corrupting_eigen)
+    residuals, w_sep = verify.state_residuals(state, np.random.default_rng(18), 20)
+    checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
+    assert {name for name, entry in checks.items() if not entry["pass"]} == readers
 
 
 @pytest.mark.parametrize(
