@@ -12,6 +12,7 @@ flattened row-major with party 1 most significant, i.e. ``|i_1 ... i_k>``
 maps to ``((i_1*N + i_2)*N + ...)*N + i_k``.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -139,12 +140,25 @@ def _jacobi_rotation(a_pp: float, a_qq: float, a_pq: complex):
     return c, t * c, a_pq / ab
 
 
-def _check_finite(a: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first non-finite entry of ``a``, if any."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        where = tuple(np.argwhere(~finite)[0].tolist())
+def _rotate(x: np.ndarray, p: int, q: int, c, s, phase) -> None:
+    """Apply [[c, -s phase], [s conj(phase), c]] in place to rows p and q of ``x``.
+
+    Columns are rotated as the rows of the transpose view, with conj(phase).
+    """
+    xp, xq = x[p].copy(), x[q].copy()
+    x[p] = c * xp - s * phase * xq
+    x[q] = s * np.conj(phase) * xp + c * xq
+
+
+def _check_finite(a: np.ndarray, rows, cols) -> np.ndarray:
+    """The entries a[rows, cols], indices in row-major order and covering every
+    nonzero of ``a``; a non-finite one raises ``ValueError`` naming the first."""
+    entries = a[rows, cols]
+    bad = np.flatnonzero(~np.isfinite(entries))
+    if bad.size:
+        where = (int(rows[bad[0]]), int(cols[bad[0]]))
         raise ValueError(f"matrix has a non-finite entry {a[where]} at {where}")
+    return entries
 
 
 def _coupled_pairs(src, dst) -> list:
@@ -177,15 +191,12 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
     The set-up reads only the nonzero pattern of ``m`` OR-ed with its
     transpose: the finiteness and Hermitian checks, the symmetrised
     entries (m + m^dag)/2, the norm and the coupled pairs all come from
-    the entries gathered there, so it costs one comparison of the whole
-    matrix plus work per nonzero.  A sweep visits, in row-major order, only
+    the entries gathered there.  A sweep visits, in row-major order, only
     the pairs (p, q) whose indices lie in one connected component of that
     pattern, and skips a pair whose entry is exactly zero.  This is exact:
     a rotation on (p, q) rewrites only rows and columns p and q, so an
-    entry between two components mixes zeros with zeros and stays zero,
-    and the full scan would skip it anyway.  For the same reason the
-    off-diagonal norm is sqrt(2) times the norm of the entries at those
-    pairs.
+    entry between two components stays zero, as the full scan leaves it,
+    and the off-diagonal norm is sqrt(2) times the norm at those pairs.
 
     ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
     exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.  A
@@ -203,11 +214,7 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     pattern = a != 0
     rows, cols = np.nonzero(pattern | pattern.T)
-    entries, mirrored = a[rows, cols], a[cols, rows].conj()
-    bad = np.flatnonzero(~np.isfinite(entries))
-    if bad.size:
-        where = (int(rows[bad[0]]), int(cols[bad[0]]))
-        raise ValueError(f"matrix has a non-finite entry {a[where]} at {where}")
+    entries, mirrored = _check_finite(a, rows, cols), a[cols, rows].conj()
     defect = float(np.abs(entries - mirrored).max()) if entries.size else 0.0
     if defect > DEFAULT_TOL:
         raise NotHermitianError(
@@ -237,21 +244,14 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
             if a[p, q] == 0.0:
                 continue
             c, s, phase = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
-            # unitary U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase), U[q,q]=c
-            rp, rq = a[p, :].copy(), a[q, :].copy()
-            a[p, :] = c * rp - s * phase * rq
-            a[q, :] = s * np.conj(phase) * rp + c * rq
-            cp, cq = a[:, p].copy(), a[:, q].copy()
-            a[:, p] = c * cp - s * np.conj(phase) * cq
-            a[:, q] = s * phase * cp + c * cq
+            _rotate(a, p, q, c, s, phase)
+            _rotate(a.T, p, q, c, s, np.conj(phase))
             a[p, q] = 0.0
             a[q, p] = 0.0
             a[p, p] = a[p, p].real
             a[q, q] = a[q, q].real
             if vectors:
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
+                _rotate(v.T, p, q, c, s, np.conj(phase))
     vals = np.real(np.diagonal(a)).copy()
     order = np.argsort(vals, kind="stable")
     if not vectors:
@@ -290,7 +290,7 @@ def trace_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    _check_finite(m)
+    _check_finite(m, *np.nonzero(m))
     a = m.copy() if m.shape[0] <= m.shape[1] else m.conj().T.copy()
     rows = a.shape[0]
     conv_tol = max(a.shape) * np.finfo(float).eps
@@ -308,10 +308,7 @@ def trace_norm(m: np.ndarray) -> float:
                 if abs(b) <= conv_tol * np.sqrt(alpha * beta):
                     continue
                 # the rotation that zeroes entry (p, q) of a a^dag
-                c, s, phase = _jacobi_rotation(alpha, beta, b)
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p] = c * rp - s * phase * rq
-                a[q] = s * np.conj(phase) * rp + c * rq
+                _rotate(a, p, q, *_jacobi_rotation(alpha, beta, b))
     raise EigenConvergenceError(
         "one-sided Jacobi did not orthogonalise the rows in 100 sweeps"
     )
@@ -346,15 +343,19 @@ def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray, *, rho_values=Non
     (so rho must be a density matrix), from ``rho_values`` when the caller
     already holds rho's Jacobi eigenvalues.  sigma is eigendecomposed with
     the Jacobi solver, and its support is every eigenvalue above 1e-12
-    times the largest.  The overlaps <v_i|rho|v_i> with sigma's
-    eigenvectors are the column sums of conj(V) * (rho V), one BLAS
-    product.  If rho has weight beyond 1e-9 outside that support the
-    result is ``inf`` (the flagged value for a support violation).
+    times the largest.  The overlaps <v_i|rho|v_i> with its eigenvectors
+    V are the column sums of conj(V_Z) * (rho_ZZ V_Z), one BLAS product on
+    the indices Z of rho's nonzero rows (a zero row of a Hermitian rho is
+    a zero column).  If rho has weight beyond 1e-9 outside sigma's
+    support the result is ``inf`` (the flagged value for a support
+    violation).
     """
     entropy = von_neumann_entropy(rho) if rho_values is None else _spectrum_entropy(rho_values)
     vals_s, vecs_s = hermitian_eigen(sigma)
     support = vals_s > 1e-12 * max(float(vals_s[-1]), 0.0)
-    overlaps = (vecs_s.conj() * (rho @ vecs_s)).sum(axis=0).real
+    nz = np.flatnonzero(rho.any(axis=1))
+    sub = vecs_s[nz]
+    overlaps = (sub.conj() * (rho[np.ix_(nz, nz)] @ sub)).sum(axis=0).real
     leakage = float(np.trace(rho).real - overlaps[support].sum())
     if leakage > 1e-9:
         return float("inf")
@@ -391,6 +392,16 @@ def diagonal_generator_values(d: int, levels) -> np.ndarray:
     return np.sqrt(2.0 / ((i + 1) * (i + 2))) * ((x <= i) - (i + 1) * (x == i + 1))
 
 
+@functools.cache
+def _pair_indices(d: int) -> tuple:
+    """``np.triu_indices(d, 1)``, read-only: the one order of the pairs j < k,
+    for the SU(d) generators and for the coefficient pairs a_mn, m < n."""
+    iu = np.triu_indices(d, 1)
+    for idx in iu:
+        idx.setflags(write=False)
+    return iu
+
+
 def generator_combination(coeffs, d: int) -> np.ndarray:
     """sum_i coeffs[..., i] g_i over :func:`su_generators`, shape (..., d, d).
 
@@ -398,13 +409,14 @@ def generator_combination(coeffs, d: int) -> np.ndarray:
     size d^4 is built: the diagonal ones through their (d - 1) x d table
     from :func:`diagonal_generator_values`, the symmetric and
     antisymmetric ones of pair (j, k) at (j, k) and (k, j), pairs in
-    ``np.triu_indices(d, 1)`` order.
+    :func:`_pair_indices` order.  :func:`_pair_position` is the inverse
+    map.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-1:] != (d * d - 1,):
         raise ValueError(f"need {d * d - 1} coefficients on the last axis, got {coeffs.shape}")
     level = np.arange(d)
-    j, k = np.triu_indices(d, 1)
+    j, k = _pair_indices(d)
     sym = coeffs[..., d - 1 : d - 1 + j.size]
     anti = coeffs[..., d - 1 + j.size :]
     out = np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex)
@@ -412,6 +424,12 @@ def generator_combination(coeffs, d: int) -> np.ndarray:
     out[..., j, k] = sym - 1j * anti
     out[..., k, j] = sym + 1j * anti
     return out
+
+
+def _pair_position(d: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Index of the symmetric SU(d) generator of pair (j, k), j < k; the
+    antisymmetric one is ``_pair_indices(d)[0].size`` = d(d - 1)/2 further."""
+    return (d - 1) + j * d - j * (j + 1) // 2 + (k - j - 1)
 
 
 def reduced_density(m: np.ndarray, keep, dims) -> np.ndarray:

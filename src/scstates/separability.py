@@ -16,7 +16,6 @@ cross-checks, and only it reads the size guard.  The dense routes in
 quantities from the explicit matrices for cross-validation.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +55,6 @@ class PTSpectrum:
         return min(candidates)
 
 
-@functools.cache
-def _pair_indices(n: int) -> tuple:
-    """``np.triu_indices(n, 1)``, the pairs m < n in row-major order, read-only."""
-    iu = np.triu_indices(n, 1)
-    for idx in iu:
-        idx.setflags(write=False)
-    return iu
-
-
 def pt_spectrum(state: SCState) -> PTSpectrum:
     """Spectrum of the partially transposed state, in closed form.
 
@@ -74,7 +64,7 @@ def pt_spectrum(state: SCState) -> PTSpectrum:
     """
     n = state.dim
     diag = np.diagonal(state.a).real.copy()
-    pairs = state.moduli[_pair_indices(n)]
+    pairs = state.moduli[oracle._pair_indices(n)]
     zero_mult = state.dim**state.parties - n * n
     return PTSpectrum(diagonal=diag, pair_magnitudes=pairs, zero_multiplicity=zero_mult)
 
@@ -133,7 +123,7 @@ def build_witness(state: SCState) -> Witness:
     """
     a = state.a
     n, k = state.dim, state.parties
-    rows, cols = _pair_indices(n)
+    rows, cols = oracle._pair_indices(n)
     amn = a[rows, cols]
     keep = amn != 0
     phase = np.exp(1j * np.angle(amn[keep]))
@@ -176,11 +166,12 @@ def witness_expectation(w: Witness, target: SCState) -> float:
     unit = repeated_basis_index(1, target.parties, target.dim)
     total = 0.0 + 0.0j
     for r, c, v in w.terms:
-        m_row, off_row = divmod(c, unit)  # rho[c, r]
-        m_col, off_col = divmod(r, unit)
-        if off_row or off_col:
+        m_row, off = divmod(c, unit)  # rho[c, r]
+        if off:
             continue
-        total += v * target.a[m_row, m_col]
+        m_col, off = divmod(r, unit)
+        if not off:
+            total += v * target.a[m_row, m_col]
     return float(total.real)
 
 
@@ -239,11 +230,6 @@ class BlochDecomposition:
         return self.s_diagonal.size + 1
 
 
-def _pair_position(d: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Index of the symmetric generator of pair (j, k), j < k, in SU(d)."""
-    return (d - 1) + j * d - j * (j + 1) // 2 + (k - j - 1)
-
-
 def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     """Compute the Bloch vectors and correlation tensor across a split.
 
@@ -271,15 +257,15 @@ def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     diag_first = oracle.diagonal_generator_values(dim_first, levels_first)
     diag_rest = oracle.diagonal_generator_values(dim_rest, levels_rest)
     scale = dim_first * dim_rest / 4.0
-    m, j = _pair_indices(n)
+    m, j = oracle._pair_indices(n)
     return BlochDecomposition(
         split=split,
         r_diagonal=(dim_first / 2.0) * (diag_first @ diag_a),
         s_diagonal=(dim_rest / 2.0) * (diag_rest @ diag_a),
         t_first=scale * (diag_first * diag_a),
         t_rest=diag_rest,
-        pair_first=_pair_position(dim_first, levels_first[m], levels_first[j]),
-        pair_rest=_pair_position(dim_rest, levels_rest[m], levels_rest[j]),
+        pair_first=oracle._pair_position(dim_first, levels_first[m], levels_first[j]),
+        pair_rest=oracle._pair_position(dim_rest, levels_rest[m], levels_rest[j]),
         pair_values=2.0 * scale * a[m, j],
     )
 

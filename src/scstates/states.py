@@ -71,25 +71,32 @@ def validate_coeff_matrix(a) -> np.ndarray:
     ValueError
         For non-square or non-finite input.
     """
-    return _validate(a)[0]
+    h = _validate(a)[0]
+    h.setflags(write=False)
+    return h
 
 
 def _validate(a) -> tuple:
-    """:func:`validate_coeff_matrix`, plus the spectrum its PSD check computed."""
+    """:func:`validate_coeff_matrix`, plus the spectrum its PSD check computed.
+
+    The symmetrized matrix comes back writable and shared with no one, so
+    :class:`SCState` stores its one write-protected copy of it.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("coefficient matrix contains non-finite entries")
 
-    herm_defect = float(np.abs(a - a.conj().T).max())
+    adjoint = a.conj().T
+    herm_defect = float(np.abs(a - adjoint).max())
     if herm_defect > DEFAULT_TOL:
         raise NotHermitianError(
             f"matrix is not Hermitian: worst |a_mn - conj(a_nm)| = {herm_defect:.3e} "
             f"exceeds {DEFAULT_TOL:.1e}",
             violation=herm_defect,
         )
-    h = (a + a.conj().T) / 2.0
+    h = (a + adjoint) / 2.0
 
     trace_defect = float(abs(np.trace(h).real - 1.0))
     if trace_defect > DEFAULT_TOL:
@@ -99,14 +106,14 @@ def _validate(a) -> tuple:
         )
 
     spectrum = _spectrum(h)
-    eigmin = float(spectrum[0].min())
+    eigmin = float(spectrum[0][0])  # eigh's eigenvalues ascend
     if eigmin < -DEFAULT_TOL:
         raise NotPSDError(
             f"matrix is not positive semidefinite: min eigenvalue {eigmin:.3e} "
             f"below -{DEFAULT_TOL:.1e}",
             violation=float(-eigmin),
         )
-    return _frozen(h), spectrum
+    return h, spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +242,7 @@ def new_pure_sc_state(parties: int, amplitudes) -> PureSCState:
     c = np.asarray(amplitudes, dtype=complex)
     if c.ndim != 1 or c.shape[0] < 2:
         raise ValueError(f"amplitudes must be a vector of length >= 2, got shape {c.shape}")
-    if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
+    if not np.isfinite(c).all():
         raise ValueError("amplitudes contain non-finite entries")
     norm_defect = float(abs(np.vdot(c, c).real - 1.0))
     if norm_defect > DEFAULT_TOL:

@@ -10,11 +10,8 @@ check takes an optional ``dense``, the :class:`_DenseViews` through which
 ``state_residuals`` shares rho and its spectra among them; a check called
 without it builds what it reads itself.
 
-The witness is also checked on random fully separable states.  Tr[W sigma]
-is linear in sigma, so its minimum over them is reached on product pure
-states: ``random_product_mixture`` draws a whole batch of those at once as
-local factors, and ``witness_residuals`` evaluates <v|W|v> on all of them
-together from the witness's sparse terms.
+The witness is also checked on random product pure states, where Tr[W sigma]
+is lowest over the fully separable states (``witness_residuals``).
 """
 
 from functools import cached_property
@@ -158,9 +155,7 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dens
     give inf.
     """
     w = separability.build_witness(state)
-    target = -float(
-        sum(abs(state.a[m, j]) for m, j in w.source_pairs)
-    )
+    target = -float(sum(abs(state.a[m, j]) for m, j in w.source_pairs))
     closed = separability.witness_expectation(w, state)
     rows = np.array([r for r, _, _ in w.terms], dtype=int)
     cols = np.array([c for _, c, _ in w.terms], dtype=int)
@@ -203,8 +198,8 @@ def bloch_coefficients(b: separability.BlochDecomposition):
     r[: m - 1] = b.r_diagonal
     s[: r_dim - 1] = b.s_diagonal
     t[: m - 1, : r_dim - 1] = b.t_first @ b.t_rest.T
-    anti_first = b.pair_first + m * (m - 1) // 2
-    anti_rest = b.pair_rest + r_dim * (r_dim - 1) // 2
+    anti_first = b.pair_first + oracle._pair_indices(m)[0].size
+    anti_rest = b.pair_rest + oracle._pair_indices(r_dim)[0].size
     t[b.pair_first, b.pair_rest] = b.pair_values.real
     t[b.pair_first, anti_rest] = -b.pair_values.imag
     t[anti_first, b.pair_rest] = -b.pair_values.imag

@@ -436,6 +436,16 @@ def test_relative_entropy_dense_overlaps_match_the_einsum_reference(n):
     # the full-rank rho has weight outside that support
     assert relative_entropy_dense(rho, sigma) == np.inf
     assert _reference_relative_entropy(rho, sigma) == np.inf
+    # an SC rho: zero rows outside its N levels, so the overlaps are formed
+    # on its support; sigma non-diagonal, of full rank and of rank <= N + 2
+    sc = dense_from_sc(random_sc_state(2, n // 3, rng))
+    side = sc.shape[0]
+    assert np.count_nonzero(sc.any(axis=1)) == n // 3 < side
+    for sigma in (_random_density(side, side, rng), 0.5 * sc + 0.5 * _random_density(side, 2, rng)):
+        value = relative_entropy_dense(sc, sigma)
+        assert np.isfinite(value)
+        assert abs(value - _reference_relative_entropy(sc, sigma)) <= 1e-12
+    assert relative_entropy_dense(sc, _random_density(side, 2, rng)) == np.inf
 
 
 def _reference_su_generators(d):
@@ -475,6 +485,33 @@ def test_generator_combination_matches_the_dense_contraction(d):
     for coeffs in (real, real + 1j * rng.standard_normal(real.shape)):
         dense = np.einsum("bi,ijk->bjk", coeffs, su_generators(d))
         assert np.abs(generator_combination(coeffs, d) - dense).max() <= 1e-14
+
+
+def test_pair_indices_are_the_cached_read_only_triu_order():
+    for d in range(2, 13):
+        pairs = oracle._pair_indices(d)
+        for got, want in zip(pairs, np.triu_indices(d, 1)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        again = oracle._pair_indices(d)
+        assert again[0] is pairs[0] and again[1] is pairs[1]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_pair_position_inverts_generator_combination(d):
+    # the generator with a unit coefficient at the symmetric slot of (j, k)
+    # is |j><k| + |k><j|; at the antisymmetric slot, -i|j><k| + i|k><j|
+    j, k = oracle._pair_indices(d)
+    sym = oracle._pair_position(d, j, k)
+    anti = sym + j.size
+    assert sorted(np.concatenate([sym, anti]).tolist()) == list(range(d - 1, d * d - 1))
+    for slot, upper in ((sym, 1.0), (anti, -1j)):
+        coeffs = np.zeros((j.size, d * d - 1))
+        coeffs[np.arange(j.size), slot] = 1.0
+        want = np.zeros((j.size, d, d), dtype=complex)
+        want[np.arange(j.size), j, k] = upper
+        want[np.arange(j.size), k, j] = np.conj(upper)
+        assert np.array_equal(generator_combination(coeffs, d), want)
 
 
 def test_su_generators_d2_are_pauli_like():
