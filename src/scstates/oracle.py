@@ -1,11 +1,14 @@
 """Dense brute-force linear algebra used to cross-check every closed form.
 
-Everything here works on explicit N^k x N^k arrays and deliberately avoids
+Everything here takes explicit N^k x N^k arrays and deliberately avoids
 LAPACK-backed decompositions: the eigensolver is a hand-written cyclic
 complex Jacobi, so results verified against this module come from a code
 path independent of the closed-form implementations (which use
 ``numpy.linalg`` on the small N x N coefficient matrix where they need
-eigenvalues at all).
+eigenvalues at all).  The eigensolver reads only a matrix's nonzero
+entries and rotates each connected component of their pattern as a
+compact block; :func:`transpose_spectra` diagonalises many partial
+transposes of one matrix that way without building any of them.
 
 Multi-index convention, fixed project-wide: basis states of k parties are
 flattened row-major with party 1 most significant, i.e. ``|i_1 ... i_k>``
@@ -13,6 +16,7 @@ maps to ``((i_1*N + i_2)*N + ...)*N + i_k``.
 """
 
 import functools
+import math
 import os
 
 import numpy as np
@@ -66,7 +70,7 @@ def repeated_basis_index(level, parties: int, dim: int):
 
 def normalize_party_subset(subset, parties: int, *, proper: bool = False) -> tuple:
     """Validate a 1-based party subset; returns it sorted and deduplicated."""
-    idx = sorted(set(int(p) for p in subset))
+    idx = sorted({int(p) for p in subset})
     if not idx:
         raise ValueError("party subset must be nonempty")
     if idx[0] < 1 or idx[-1] > parties:
@@ -124,30 +128,53 @@ def partial_transpose(m: np.ndarray, subset, dims) -> np.ndarray:
     return tensor.transpose(axes).reshape(total, total)
 
 
-def _jacobi_rotation(a_pp: float, a_qq: float, a_pq: complex):
+def _jacobi_rotation(a_pp, a_qq, a_pq):
     """(c, s, phase) of the unitary U = [[c, -s phase], [s conj(phase), c]]
     for which U [[a_pp, a_pq], [conj(a_pq), a_qq]] U^dag is diagonal.
 
-    ``a_pq`` must be nonzero.
+    Takes scalars or equal-shape arrays, one rotation per element, with
+    the same bits either way: |a_pq| of an array is ``hypot`` of its
+    parts, which is how scalar ``abs`` computes it (numpy's vectorised
+    complex ``abs`` can differ in the last bit).  ``a_pq`` must be nonzero.
     """
-    ab = abs(a_pq)
+    ab = np.hypot(a_pq.real, a_pq.imag) if isinstance(a_pq, np.ndarray) else abs(a_pq)
     tau = (a_qq - a_pp) / (2.0 * ab)
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
+    # tau = 0 gives t = 1: sign(0) = 0 zeroes the first term there
+    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) + (tau == 0.0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     return c, t * c, a_pq / ab
 
 
-def _rotate(x: np.ndarray, p: int, q: int, c, s, phase) -> None:
-    """Apply [[c, -s phase], [s conj(phase), c]] in place to rows p and q of ``x``.
+def _rotate(x: np.ndarray, p: int, q: int, c, u, v) -> None:
+    """Apply [[c, -u], [v, c]] in place to rows p and q of ``x``, or of every
+    matrix in a stack ``x`` with c, u and v of shape (stack, 1).
 
-    Columns are rotated as the rows of the transpose view, with conj(phase).
+    For the Jacobi rotation (c, s, phase) the rows take u = s phase and
+    v = s conj(phase), and the columns, rotated as the rows of the
+    transpose view, the two swapped.
     """
-    xp, xq = x[p].copy(), x[q].copy()
-    x[p] = c * xp - s * phase * xq
-    x[q] = s * np.conj(phase) * xp + c * xq
+    xp, xq = x[..., p, :], x[..., q, :]
+    x[..., p, :], x[..., q, :] = c * xp - u * xq, v * xp + c * xq
+
+
+def _rotate_pair(x: np.ndarray, p: int, q: int) -> None:
+    """Zero entry (p, q) of the Hermitian block on top of ``x``, or of each
+    such block in a stack ``x``, by one Jacobi rotation.
+
+    The rotation acts on rows p and q of the block and on columns p and q
+    of all of ``x``, so eigenvector rows stacked under the block are
+    accumulated as the column rotations of the full sweep would.
+    """
+    at = (...,) * (x.ndim - 2)  # a single block is indexed to scalars
+    pp, qq, pq = at + (p, p), at + (q, q), at + (p, q)
+    c, s, phase = _jacobi_rotation(x[pp].real, x[qq].real, x[pq])
+    if at:
+        c, s, phase = c[:, None], s[:, None], phase[:, None]
+    u, v = s * phase, s * np.conj(phase)
+    _rotate(x, p, q, c, u, v)
+    _rotate(x.swapaxes(-1, -2), p, q, c, v, u)
+    x[pq] = x[at + (q, p)] = 0.0
+    x[pp], x[qq] = x[pp].real, x[qq].real
 
 
 def _check_finite(a: np.ndarray, rows, cols) -> np.ndarray:
@@ -161,14 +188,59 @@ def _check_finite(a: np.ndarray, rows, cols) -> np.ndarray:
     return entries
 
 
-def _coupled_pairs(src, dst) -> list:
-    """The pairs (p, q), p < q, whose indices share a connected component of
-    the graph with the edges (src[i], dst[i]), in row-major order.
+def _hermitian_entries(m) -> tuple:
+    """(n, keys, entries) of a square, finite, Hermitian matrix ``m``.
 
-    Components are merged edge by edge, smaller group into larger.
+    ``keys`` are the flat row-major positions r n + c of the nonzero
+    pattern of ``m`` OR-ed with its transpose, ascending, and ``entries``
+    the symmetrised (m + m^dag)/2 there.  The pattern is read in row
+    blocks of at most 1 MiB, so no larger temporary is made.  A non-finite
+    entry raises ``ValueError`` naming the first in row-major order, and
+    an |m - m^dag| entry above ``states.DEFAULT_TOL`` raises
+    :class:`NotHermitianError`.
     """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    n = len(a)
+    step = max(1, (1 << 20) // max(1, 2 * n))
+    # an entry is nonzero when either part is: its two part flags as one uint16
+    found = [
+        np.ascontiguousarray(a[r : r + step]).view(float).astype(bool).view(np.uint16).ravel().nonzero()[0]
+        + r * n
+        for r in range(0, max(n, 1), step)
+    ]
+    keys = found[0] if len(found) == 1 else np.concatenate(found)
+    rows, cols = np.divmod(keys, n)
+    entries, mirrored = _check_finite(a, rows, cols), a[cols, rows].conj()
+    if not mirrored.all():  # close the pattern under transposition, with zeros
+        keys = np.union1d(keys, cols * n + rows)
+        rows, cols = np.divmod(keys, n)
+        entries, mirrored = a[rows, cols], a[cols, rows].conj()
+    defect = float(np.maximum.reduce(abs(entries - mirrored), initial=0.0))
+    if defect > DEFAULT_TOL:
+        raise NotHermitianError(
+            f"matrix is not Hermitian: worst defect {defect:.3e} exceeds {DEFAULT_TOL:.1e}",
+            violation=defect,
+        )
+    return n, keys, (entries + mirrored) / 2.0
+
+
+def _components(src, dst) -> list:
+    """The connected components of the graph with the edges (src[i], dst[i]),
+    src[i] < dst[i], listed in ascending order of src.
+
+    Returns one int array (blocks, c) per component size c, ascending:
+    each row is one component's vertices, ascending, and the rows are in
+    the order of their smallest vertex.  Edges that share no vertex are
+    each a component; otherwise components are merged edge by edge,
+    smaller group into larger.
+    """
+    src, dst = src.tolist(), dst.tolist()
+    if len(set(src + dst)) == 2 * len(src):
+        return [np.array([src, dst]).T] if src else []
     group_of = {}
-    for p, q in zip(src.tolist(), dst.tolist()):
+    for p, q in zip(src, dst):
         gp = group_of.setdefault(p, [p])
         gq = group_of.setdefault(q, [q])
         if gp is not gq:
@@ -177,8 +249,104 @@ def _coupled_pairs(src, dst) -> list:
             gp.extend(gq)
             for r in gq:
                 group_of[r] = gp
-    pairs = [(p, q) for p, group in group_of.items() for q in group if p < q]
-    return sorted(pairs)
+    by_size = {}
+    for group in sorted(map(sorted, {id(g): g for g in group_of.values()}.values())):
+        by_size.setdefault(len(group), []).append(group)
+    return [np.array(by_size[c]) for c in sorted(by_size)]
+
+
+def _gather_blocks(members: np.ndarray, n: int, flat: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The stack (blocks, c, c) of the blocks on the vertex rows of ``members``
+    (vertex i n + r is index r of matrix i), read off the entries at the
+    ascending flat positions ``flat`` (i n^2 + r n + c); absent ones are 0."""
+    query = (members * n)[:, :, None] + (members % n)[:, None, :]
+    at = flat.searchsorted(query)
+    return np.where(flat.take(at, mode="clip") == query, entries.take(at, mode="clip"), 0.0)
+
+
+def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False):
+    """Cyclic complex Jacobi on M Hermitian n x n matrices at once.
+
+    Matrix i holds entries[i] at the ascending row-major positions keys[i]
+    (shape (M, E), closed under transposition, entries symmetrised).  Each
+    connected component of a matrix's pattern is rotated as a compact
+    c x c block: a rotation on (p, q) rewrites only rows and columns p and
+    q, so entries between components stay zero, as in a sweep over the
+    whole matrix.  Blocks of equal size are stacked, and each rotation acts
+    on the blocks of the stack whose entry is nonzero and whose matrix has
+    not converged; a stack of one block is indexed to scalars.  Either way
+    a block sees the arithmetic and the row-major pair order of the full
+    sweep, so a matrix's values do not depend on what is stacked with it.
+
+    A matrix has converged when its off-diagonal Frobenius norm, summed
+    block by block, is at most 1e-12 times its norm; one still above after
+    100 sweeps raises :class:`EigenConvergenceError`.  Returns the
+    ascending eigenvalues, shape (M, n), and with ``vectors`` (M = 1) the
+    matching eigenvector columns.
+    """
+    count = len(keys)
+    # matrix i's entry (r, c) sits at i n^2 + r n + c, so these ascend
+    flat = (keys + np.arange(0, count * n * n, n * n)[:, None]).ravel() if count != 1 else keys[0]
+    entries = entries.ravel()
+    vertex, col = np.divmod(flat, n)  # vertex i n + r is row r of matrix i
+    local = vertex % n
+    upper = local < col
+    classes = _components(vertex[upper], (vertex - local + col)[upper])
+    stacks = [_gather_blocks(members, n, flat, entries) for members in classes]
+    if vectors:  # eigenvector rows under each block, rotated with its columns
+        stacks = [np.concatenate([x, np.broadcast_to(np.eye(x.shape[2]), x.shape)], axis=1) for x in stacks]
+    owners = [members[:, 0] // n for members in classes]  # the matrix of each block
+    owner = np.concatenate(owners) if classes else None
+    pairs = [_pair_indices(x.shape[2]) for x in stacks]
+    uppers = [(x.reshape(len(x), -1), j * x.shape[2] + k) for x, (j, k) in zip(stacks, pairs)]
+    pairs = [list(zip(j.tolist(), k.tolist())) for j, k in pairs]
+    norms = np.sqrt(np.add.reduce(np.square(entries.view(float)).reshape(count, -1), axis=1))
+    conv_tol = 1e-12
+    for sweep in range(101 if classes else 0):  # no coupled pair: nothing to rotate
+        square = [np.add.reduce(np.square(x.take(at, axis=1).view(float)), axis=1) for x, at in uppers]
+        square = square[0] if len(square) == 1 else np.concatenate(square)
+        off = np.sqrt(2.0 * np.bincount(owner, square, minlength=count))
+        live = off > conv_tol * norms
+        above = live.nonzero()[0]
+        if not above.size:
+            break
+        if sweep == 100:
+            raise EigenConvergenceError(
+                f"Jacobi sweeps did not converge: off-diagonal norm {off[above[0]]:.3e} "
+                f"above {conv_tol:.0e} * {norms[above[0]]:.3e} after 100 sweeps"
+            )
+        for x, own, pq in zip(stacks, owners, pairs):
+            on = live[own]
+            if len(x) == 1:
+                for p, q in pq if on[0] else ():
+                    if x[0, p, q] != 0.0:
+                        _rotate_pair(x[0], p, q)
+                continue
+            for p, q in pq:
+                hit = (on & (x[:, p, q] != 0.0)).nonzero()[0]
+                if hit.size == len(x):
+                    _rotate_pair(x, p, q)
+                elif hit.size:
+                    part = x[hit]
+                    _rotate_pair(part, p, q)
+                    x[hit] = part
+    values = np.zeros(count * n)
+    diagonal = local == col
+    values[vertex[diagonal]] = entries[diagonal].real
+    for members, x in zip(classes, stacks):
+        values[members] = x.diagonal(axis1=1, axis2=2).real
+    values = values.reshape(count, n)
+    if not vectors:
+        values.sort(axis=1, kind="stable")
+        return values
+    order = values[0].argsort(kind="stable")
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)  # eigenvector r goes to column column[r]
+    v = np.zeros((n, n), dtype=complex)
+    v[np.arange(n), column] = 1.0  # unit vectors, overwritten on every block
+    for members, x in zip(classes, stacks):
+        v[members[:, :, None], column[members][:, None, :]] = x[:, members.shape[1] :]
+    return values[:, order], v
 
 
 def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
@@ -189,14 +357,13 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
     times the matrix norm (at most 100 sweeps).
 
     The set-up reads only the nonzero pattern of ``m`` OR-ed with its
-    transpose: the finiteness and Hermitian checks, the symmetrised
-    entries (m + m^dag)/2, the norm and the coupled pairs all come from
-    the entries gathered there.  A sweep visits, in row-major order, only
-    the pairs (p, q) whose indices lie in one connected component of that
-    pattern, and skips a pair whose entry is exactly zero.  This is exact:
-    a rotation on (p, q) rewrites only rows and columns p and q, so an
-    entry between two components stays zero, as the full scan leaves it,
-    and the off-diagonal norm is sqrt(2) times the norm at those pairs.
+    transpose (:func:`_hermitian_entries`): the finiteness and Hermitian
+    checks, the symmetrised entries (m + m^dag)/2 and the norm all come
+    from the entries gathered there.  The sweeps run on one compact block
+    per connected component of that pattern (:func:`_jacobi`), visiting
+    its pairs in row-major order and skipping a pair whose entry is
+    exactly zero; this gives the bits of a row-major sweep over the whole
+    matrix, and no n x n working copy is made.
 
     ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
     exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.  A
@@ -205,58 +372,58 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
 
     Returns ``(values, vectors)`` with eigenvalues ascending and matching
     eigenvector columns; reconstruction ``V diag(w) V^dag`` and column
-    orthonormality hold to well below 1e-9 for desk-scale matrices.  With
+    orthonormality hold to well below 1e-9 for desk-scale matrices; the
+    eigenvector matrix is the only n x n array allocated.  With
     ``vectors=False`` only the values are returned, bit-identical to the
-    first item of the full result, and no eigenvector is accumulated.
+    first item of the full result, no eigenvector is accumulated and no
+    n x n array is allocated.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    pattern = a != 0
-    rows, cols = np.nonzero(pattern | pattern.T)
-    entries, mirrored = _check_finite(a, rows, cols), a[cols, rows].conj()
-    defect = float(np.abs(entries - mirrored).max()) if entries.size else 0.0
-    if defect > DEFAULT_TOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: worst defect {defect:.3e} exceeds {DEFAULT_TOL:.1e}",
-            violation=defect,
-        )
-    n = a.shape[0]
-    entries = (entries + mirrored) / 2.0
-    a = np.zeros((n, n), dtype=complex)
-    a[rows, cols] = entries
-    v = np.eye(n, dtype=complex) if vectors else None
-    norm = float(np.linalg.norm(entries))
-    upper = rows < cols
-    pairs = _coupled_pairs(rows[upper], cols[upper])
-    pp, qq = np.array(pairs, dtype=int).reshape(-1, 2).T
-    conv_tol = 1e-12
-    for sweep in range(101):
-        off = np.sqrt(2.0) * np.linalg.norm(a[pp, qq])
-        if off <= conv_tol * norm:
-            break
-        if sweep == 100:
-            raise EigenConvergenceError(
-                f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} "
-                f"above {conv_tol:.0e} * {norm:.3e} after 100 sweeps"
-            )
-        for p, q in pairs:
-            if a[p, q] == 0.0:
-                continue
-            c, s, phase = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
-            _rotate(a, p, q, c, s, phase)
-            _rotate(a.T, p, q, c, s, np.conj(phase))
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
-            if vectors:
-                _rotate(v.T, p, q, c, s, np.conj(phase))
-    vals = np.real(np.diagonal(a)).copy()
-    order = np.argsort(vals, kind="stable")
+    n, keys, entries = _hermitian_entries(m)
     if not vectors:
-        return vals[order]
-    return vals[order], v[:, order]
+        return _jacobi(n, keys[None, :], entries[None, :])[0]
+    values, v = _jacobi(n, keys[None, :], entries[None, :], vectors=True)
+    return values[0], v
+
+
+def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarray:
+    """Positions, shape (len(subsets), len(keys)), that the entries at the
+    row-major positions ``keys`` take in the partial transpose over each
+    subset: the base-``dims`` digits of its parties swap between row and
+    column index."""
+    k, n = len(dims), math.prod(dims)
+    stride = [math.prod(dims[p + 1 :]) for p in range(k)]
+    digits = keys // np.array([s * n for s in stride] + stride)[:, None] % np.array(dims * 2)[:, None]
+    swapped = (digits[k:] - digits[:k]) * np.array(stride)[:, None]  # what the row index gains
+    chosen = np.array([[p in subset for p in range(1, k + 1)] for subset in subsets], dtype=int)
+    return keys + (chosen @ swapped) * (n - 1)  # and the column index loses
+
+
+def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
+    """Ascending Jacobi eigenvalues of the partial transpose of ``m`` over each
+    subset, shape (len(subsets), N), row i for ``subsets[i]``.
+
+    Row i is bit-identical to ``hermitian_eigen(partial_transpose(m,
+    subsets[i], dims), vectors=False)``, but no transpose is built: the
+    nonzeros of ``m`` are gathered, checked and symmetrised once (a partial
+    transpose sends an entry and its mirror to an entry and its mirror, so
+    this gives the bits of doing it on each transpose), their positions
+    are mapped to each transpose's, and :func:`_jacobi` diagonalises all
+    the transposes in one sweep loop.  Errors are those of
+    :func:`hermitian_eigen` and :func:`partial_transpose`.
+    """
+    dims = tuple(int(d) for d in dims)
+    total = math.prod(dims)
+    if np.shape(m) != (total, total):
+        raise ValueError(
+            f"matrix shape {np.shape(m)} does not match party dimensions {dims} "
+            f"(product {total})"
+        )
+    subsets = [normalize_party_subset(s, len(dims), proper=True) for s in subsets]
+    _, keys, entries = _hermitian_entries(m)
+    keys = _partial_transpose_keys(keys, subsets, dims)
+    order = keys.argsort(axis=1)
+    keys.sort(axis=1)
+    return _jacobi(total, keys, entries[order])
 
 
 def realign(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -308,7 +475,8 @@ def trace_norm(m: np.ndarray) -> float:
                 if abs(b) <= conv_tol * np.sqrt(alpha * beta):
                     continue
                 # the rotation that zeroes entry (p, q) of a a^dag
-                _rotate(a, p, q, *_jacobi_rotation(alpha, beta, b))
+                c, s, phase = _jacobi_rotation(alpha, beta, b)
+                _rotate(a, p, q, c, s * phase, s * np.conj(phase))
     raise EigenConvergenceError(
         "one-sided Jacobi did not orthogonalise the rows in 100 sweeps"
     )

@@ -33,12 +33,14 @@ def _all_proper_subsets(parties: int):
 
 
 class _DenseViews:
-    """The dense rho of one state and the two Jacobi spectra several checks
-    read, each built on first use.
+    """The dense rho of one state and the Jacobi spectra several checks read,
+    each built on first use.
 
-    ``state_residuals`` hands one to all its checks, so rho is built once
-    and rho and rho^{T_1} are diagonalised once each; a check called on
-    its own makes its own.  Nothing here outlives the call that made it.
+    ``state_residuals`` hands one to all its checks, so rho is built once,
+    rho is diagonalised once, and all its partial transposes over subsets
+    holding party 1 are diagonalised by one ``oracle.transpose_spectra``
+    call; a check called on its own makes its own.  Nothing here outlives
+    the call that made it.
     """
 
     def __init__(self, state: SCState):
@@ -54,32 +56,30 @@ class _DenseViews:
         return oracle.hermitian_eigen(self.rho, vectors=False)
 
     @cached_property
-    def pt1_values(self) -> np.ndarray:
-        """Jacobi eigenvalues of rho^{T_1}, the partial transpose on party 1, ascending."""
-        dims = [self.state.dim] * self.state.parties
-        return oracle.hermitian_eigen(oracle.partial_transpose(self.rho, [1], dims), vectors=False)
+    def pt_values(self) -> np.ndarray:
+        """Jacobi eigenvalues of rho^{T_S}, ascending, one row per subset S in
+        :func:`_party_one_subsets` order; row 0 is rho^{T_1}."""
+        k = self.state.parties
+        return oracle.transpose_spectra(self.rho, _party_one_subsets(k), [self.state.dim] * k)
+
+
+def _party_one_subsets(parties: int) -> list:
+    """The 2^(k-1) - 1 proper subsets holding party 1, [1] first."""
+    return [s for s in _all_proper_subsets(parties) if s[0] == 1]
 
 
 def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
     """Closed-form PT spectrum vs dense eigenvalues, over all proper subsets.
 
-    Only the 2^(k-1) - 1 subsets S holding party 1 are diagonalised:
-    rho^{T_{S^c}} = (rho^{T_S})^T = conj(rho^{T_S}), with the same Jacobi values.
+    Only the 2^(k-1) - 1 subsets S holding party 1 are diagonalised, all
+    in one ``oracle.transpose_spectra`` call: rho^{T_{S^c}} =
+    (rho^{T_S})^T = conj(rho^{T_S}), with the same Jacobi values.
     """
     dense = dense or _DenseViews(state)
-    dims = [state.dim] * state.parties
     spectrum = separability.pt_spectrum(state)
     pairs, zeros = spectrum.pair_magnitudes, np.zeros(spectrum.zero_multiplicity)
     expected = np.sort(np.concatenate([spectrum.diagonal, pairs, -pairs, zeros]))
-    worst = 0.0
-    for subset in (s for s in _all_proper_subsets(state.parties) if s[0] == 1):
-        if subset == [1]:
-            vals = dense.pt1_values
-        else:
-            pt = oracle.partial_transpose(dense.rho, subset, dims)
-            vals = oracle.hermitian_eigen(pt, vectors=False)
-        worst = max(worst, float(np.abs(vals - expected).max()))
-    return worst
+    return float(np.abs(dense.pt_values - expected).max())
 
 
 def realignment_residual(state: SCState, *, dense=None) -> float:
@@ -97,7 +97,7 @@ def negativity_residual(state: SCState, *, dense=None) -> float:
     spectrum.
     """
     dense = dense or _DenseViews(state)
-    value = 0.5 * (float(np.abs(dense.pt1_values).sum()) - 1.0)
+    value = 0.5 * (float(np.abs(dense.pt_values[0]).sum()) - 1.0)  # rho^{T_1}
     return abs(value - measures.negativity(state))
 
 
@@ -309,9 +309,11 @@ def state_residuals(
 ):
     """(residual per check, min Tr[W sigma]) for every oracle check on one state.
 
-    The checks share one :class:`_DenseViews`: rho is built once, and rho
-    and rho^{T_1} are diagonalised once each, 2^(k-1) + 1 Jacobi calls in
-    all with sigma's.  The residual functions are looked up by their
+    The checks share one :class:`_DenseViews`: rho is built once, and
+    three Jacobi entry calls cover every spectrum, whatever k: rho's and
+    sigma's through ``oracle.hermitian_eigen``, and all 2^(k-1) - 1
+    partial transposes over subsets holding party 1 through one
+    ``oracle.transpose_spectra``.  The residual functions are looked up by their
     module-global names on each call, so patching one of them in this
     module reaches every caller.  ``rng`` is drawn from only by the
     witness's separable samples.

@@ -6,6 +6,7 @@ code path the closed forms use) on random matrices.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from scstates import (
     random_sc_state,
     verify,
 )
-from scstates.errors import NotHermitianError, NotPSDError
+from scstates.errors import EigenConvergenceError, NotHermitianError, NotPSDError
+from scstates.states import DEFAULT_TOL
 from scstates.oracle import (
     dense_from_sc,
     dense_pure,
@@ -34,6 +36,7 @@ from scstates.oracle import (
     repeated_basis_index,
     su_generators,
     trace_norm,
+    transpose_spectra,
     von_neumann_entropy,
 )
 
@@ -295,6 +298,26 @@ def test_jacobi_is_bit_identical_to_the_full_scan(m):
     assert np.array_equal(hermitian_eigen(m, vectors=False), ref_vals)
 
 
+@pytest.mark.parametrize("sparse_blocks", [1, 2, 3])
+def test_jacobi_stacks_equal_blocks_bit_identically(sparse_blocks):
+    # four interleaved 3 x 3 components are rotated as one stack; the last
+    # ``sparse_blocks`` of them start with a zero at (0, 1), so the first
+    # rotation skips them there, as the full scan skips the pair
+    rng = np.random.default_rng(1800 + sparse_blocks)
+    blocks = [random_hermitian(3, rng) for _ in range(4)]
+    for block in blocks[4 - sparse_blocks :]:
+        block[0, 1] = block[1, 0] = 0.0
+    m = np.zeros((13, 13), dtype=complex)
+    for i, block in enumerate(blocks):  # interleaved: block i on indices i, i + 4, i + 8
+        m[i:12:4, i:12:4] = block
+    m[12, 12] = 0.5
+    vals, vecs = hermitian_eigen(m)
+    ref_vals, ref_vecs = _reference_hermitian_eigen(m)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+    assert np.array_equal(hermitian_eigen(m, vectors=False), ref_vals)
+
+
 @pytest.mark.parametrize("parties, dim", [(2, 2), (3, 2), (4, 3), (6, 2)])
 def test_complementary_partial_transposes_have_bit_identical_spectra(parties, dim):
     # rho^{T_{S^c}} = conj(rho^{T_S}); verify.pt_spectrum_residual relies on
@@ -307,6 +330,139 @@ def test_complementary_partial_transposes_have_bit_identical_spectra(parties, di
         vals, _ = hermitian_eigen(partial_transpose(rho, subset, dims))
         comp_vals, _ = hermitian_eigen(partial_transpose(rho, complement, dims))
         assert np.array_equal(vals, comp_vals), (subset, complement)
+
+
+def _transpose_panel():
+    rng = np.random.default_rng(1801)
+    for parties, dim in [(2, 2), (3, 2), (2, 3), (4, 3), (6, 2)]:
+        yield f"rho{parties}{dim}", dense_from_sc(random_sc_state(parties, dim, rng)), [dim] * parties
+    # generic dense matrices: their transposes have large coupled blocks
+    for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]:
+        yield "dense" + "".join(map(str, dims)), random_hermitian(int(np.prod(dims)), rng), list(dims)
+
+
+@pytest.mark.parametrize(
+    "m, dims", [pytest.param(m, dims, id=name) for name, m, dims in _transpose_panel()]
+)
+def test_transpose_spectra_rows_are_bit_identical_to_the_dense_route(m, dims):
+    subsets = list(verify._all_proper_subsets(len(dims)))
+    spectra = transpose_spectra(m, subsets, dims)
+    assert spectra.shape == (len(subsets), m.shape[0])
+    for subset, row in zip(subsets, spectra):
+        dense = hermitian_eigen(partial_transpose(m, subset, dims), vectors=False)
+        assert np.array_equal(row, dense), subset
+
+
+@pytest.mark.parametrize("seed", [1808, 1812, 1816])
+def test_transpose_spectra_stop_rotating_each_matrix_once_it_converges(monkeypatch, seed):
+    # the transposes of a sparse matrix converge after different numbers of
+    # sweeps; the stacked call makes exactly the block rotations of the
+    # separate calls, so it stops rotating each one when it has converged
+    rotate, rotations = oracle._rotate_pair, [0]
+
+    def counted(x, p, q):
+        rotations[0] += len(x) if x.ndim == 3 else 1
+        rotate(x, p, q)
+
+    monkeypatch.setattr(oracle, "_rotate_pair", counted)
+    m = random_hermitian(12, np.random.default_rng(seed))
+    m[np.abs(m) < 0.9] = 0.0
+    dims, subsets = [2, 3, 2], list(verify._all_proper_subsets(3))
+    separate = []
+    for subset in subsets:
+        rotations[0] = 0
+        hermitian_eigen(partial_transpose(m, subset, dims), vectors=False)
+        separate.append(rotations[0])
+    assert len(set(separate)) > 1
+    rotations[0] = 0
+    transpose_spectra(m, subsets, dims)
+    assert rotations[0] == sum(separate)
+
+
+def test_transpose_spectra_close_a_one_sided_pattern_like_the_dense_route():
+    # an entry within DEFAULT_TOL whose mirror is zero: the pattern is closed
+    # under transposition and the entry split as (m + m^dag)/2
+    m = random_hermitian(12, np.random.default_rng(1802))
+    m[np.abs(m) < 1.2] = 0.0
+    m[3, 10], m[10, 3] = 0.4 * DEFAULT_TOL * (1 - 1j), 0.0
+    m[5, 6], m[6, 5] = 0.0, 0.9 * DEFAULT_TOL
+    dims = [2, 3, 2]
+    subsets = list(verify._all_proper_subsets(3))
+    for subset, row in zip(subsets, transpose_spectra(m, subsets, dims)):
+        pt = partial_transpose(m, subset, dims)
+        assert np.array_equal(row, hermitian_eigen(pt, vectors=False)), subset
+        assert np.array_equal(row, _reference_hermitian_eigen(pt)[0]), subset
+
+
+@pytest.mark.parametrize(
+    "where, value, error",
+    [((7, 3), np.nan, ValueError), ((0, 5), np.inf, ValueError), ((2, 9), 1e-3, NotHermitianError)],
+    ids=["nan", "inf", "not-hermitian"],
+)
+def test_transpose_spectra_refuse_bad_input_as_hermitian_eigen_does(monkeypatch, where, value, error):
+    monkeypatch.setattr(oracle, "_jacobi_rotation", _no_rotation)
+    m = random_hermitian(12, np.random.default_rng(1803))
+    m[where] += value
+    with pytest.raises(error) as expected:
+        hermitian_eigen(m)
+    with pytest.raises(error, match=re.escape(str(expected.value)) + "$"):
+        transpose_spectra(m, [[1], [1, 3]], [2, 3, 2])
+
+
+def test_transpose_spectra_with_untransposed_indices_fail_the_pt_check(monkeypatch):
+    # a wrong index rule is caught: the untransposed rho has rho's spectrum
+    def untransposed(keys, subsets, dims):
+        return np.broadcast_to(keys, (len(subsets), keys.size)).copy()
+
+    state = random_sc_state(3, 3, 1804)
+    assert verify.pt_spectrum_residual(state) <= 1e-12
+    monkeypatch.setattr(oracle, "_partial_transpose_keys", untransposed)
+    assert verify.pt_spectrum_residual(state) > 1e-3
+
+
+def test_jacobi_reports_the_matrix_that_does_not_converge(monkeypatch):
+    # with rotations switched off nothing converges; the error names the
+    # off-diagonal norm and the norm of the first matrix still above
+    monkeypatch.setattr(oracle, "_rotate_pair", lambda *args: None)
+    m = random_hermitian(6, np.random.default_rng(1807))
+    with pytest.raises(EigenConvergenceError, match=r"after 100 sweeps$") as single:
+        hermitian_eigen(m, vectors=False)
+    rho = dense_from_sc(random_sc_state(3, 2, 1807))
+    with pytest.raises(EigenConvergenceError, match=r"after 100 sweeps$") as stacked:
+        transpose_spectra(rho, [[1], [1, 2]], [2, 2, 2])
+    for raised, matrix in ((single, m), (stacked, partial_transpose(rho, [1], [2, 2, 2]))):
+        off = np.sqrt(2.0) * np.linalg.norm(matrix[np.triu_indices(len(matrix), 1)])
+        assert f"off-diagonal norm {off:.3e} above 1e-12 * {np.linalg.norm(matrix):.3e}" in str(raised.value)
+
+
+def test_jacobi_gathers_each_nonzero_once():
+    # entries with two nonzero parts are one entry, not two
+    m = random_hermitian(9, np.random.default_rng(1805))
+    m[np.abs(m) < 1.0] = 0.0
+    n, keys, entries = oracle._hermitian_entries(m)
+    rows, cols = np.nonzero(m)
+    assert n == 9
+    assert np.array_equal(keys, rows * 9 + cols)
+    assert np.array_equal(entries, (m[rows, cols] + m[cols, rows].conj()) / 2.0)
+
+
+@pytest.mark.parametrize("parties, dim", [(5, 4), (4, 5)])
+def test_values_only_jacobi_allocates_no_dense_array(parties, dim):
+    rho = dense_from_sc(random_sc_state(parties, dim, 1806))
+    subsets = [s for s in verify._all_proper_subsets(parties) if s[0] == 1]
+    for diagonalise in (
+        lambda: hermitian_eigen(rho, vectors=False),
+        lambda: transpose_spectra(rho, subsets, [dim] * parties),
+    ):
+        tracemalloc.start()
+        try:
+            diagonalise()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # no n x n working copy, no n x n index array: the largest temporary
+        # is the pattern scan's row block, n x 2n flags at most
+        assert peak < rho.nbytes / 4
 
 
 def test_realign_entry_permutation_and_involution():

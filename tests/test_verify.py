@@ -115,46 +115,69 @@ def _perturbed_bloch(monkeypatch, field, pick):
     monkeypatch.setattr(separability, "bloch_decomposition", perturbed)
 
 
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"oracle.{name} called")
+
+    return refused
+
+
 @pytest.mark.parametrize("parties, dim", [(2, 2), (3, 2), (4, 2), (3, 3), (6, 2)])
 def test_pt_spectrum_residual_diagonalises_one_of_each_complementary_pair(
     monkeypatch, parties, dim
 ):
-    transpose, eigen = oracle.partial_transpose, oracle.hermitian_eigen
-    subsets, calls = [], []
+    spectra, calls = oracle.transpose_spectra, []
 
-    def counted_transpose(m, subset, dims):
-        subsets.append(tuple(subset))
-        return transpose(m, subset, dims)
+    def counted_spectra(m, subsets, dims):
+        calls.append([tuple(s) for s in subsets])
+        return spectra(m, subsets, dims)
 
-    def counted_eigen(m, **kwargs):
-        calls.append(m.shape)
-        return eigen(m, **kwargs)
-
-    monkeypatch.setattr(oracle, "partial_transpose", counted_transpose)
-    monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
-    verify.pt_spectrum_residual(random_sc_state(parties, dim, 7))
-    # the complement of each subset holding party 1 has the same spectrum
-    assert len(calls) == len(set(subsets)) == 2 ** (parties - 1) - 1
+    monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
+    # no dense transpose is built and no transpose is diagonalised on its own
+    monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
+    monkeypatch.setattr(oracle, "hermitian_eigen", _refuse("hermitian_eigen"))
+    residual = verify.pt_spectrum_residual(random_sc_state(parties, dim, 7))
+    # one stacked call; the complement of each subset holding party 1 has the same spectrum
+    assert len(calls) == 1
+    subsets = calls[0]
+    assert len(subsets) == len(set(subsets)) == 2 ** (parties - 1) - 1
     assert all(1 in subset for subset in subsets)
+    assert residual <= separability.DEFAULT_SEP_TOL
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (6, 2)])
 def test_state_residuals_diagonalise_rho_and_its_first_party_transpose_once(
     monkeypatch, parties, dim
 ):
-    eigen, calls = oracle.hermitian_eigen, []
+    eigen, spectra, calls = oracle.hermitian_eigen, oracle.transpose_spectra, []
 
     def counted_eigen(m, **kwargs):
-        calls.append(m.shape)
+        calls.append("hermitian_eigen")
         return eigen(m, **kwargs)
 
+    def counted_spectra(m, subsets, dims):
+        calls.append("transpose_spectra")
+        return spectra(m, subsets, dims)
+
     monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
+    monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
+    monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     state = random_sc_state(parties, dim, 17)
     residuals, w_sep = verify.state_residuals(state, np.random.default_rng(17), 20)
-    # 2^(k-1) - 1 transposes (rho^{T_1} among them), rho, and sigma
-    assert len(calls) == 2 ** (parties - 1) + 1
+    # rho and sigma, and all transposes (rho^{T_1} among them) in one call, whatever k
+    assert sorted(calls) == ["hermitian_eigen", "hermitian_eigen", "transpose_spectra"]
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert all(entry["pass"] for entry in checks.values())
+
+
+def _shift_weight(values):
+    # move 1e-3 of weight from the largest eigenvalue to the smallest:
+    # the trace stays 1 and rho's spectrum stays nonnegative
+    values = values.copy()
+    values[0] += 1e-3
+    values[-1] -= 1e-3
+    values.sort()
+    return values
 
 
 @pytest.mark.parametrize(
@@ -165,23 +188,25 @@ def test_state_residuals_hand_each_shared_spectrum_to_every_check_that_reads_it(
     monkeypatch, target, readers
 ):
     state = random_sc_state(3, 3, 18)
-    corrupted = oracle.dense_from_sc(state)
-    if target == "rho_t1":
-        corrupted = oracle.partial_transpose(corrupted, [1], [3, 3, 3])
-    eigen = oracle.hermitian_eigen
+    rho = oracle.dense_from_sc(state)
+    eigen, spectra = oracle.hermitian_eigen, oracle.transpose_spectra
 
     def corrupting_eigen(m, **kwargs):
-        # move 1e-3 of weight from the largest eigenvalue to the smallest:
-        # the trace stays 1 and rho's spectrum stays nonnegative
         values = eigen(m, **kwargs)
-        if np.array_equal(m, corrupted):
+        if target == "rho" and np.array_equal(m, rho):
+            values = _shift_weight(values)
+        return values
+
+    def corrupting_spectra(m, subsets, dims):
+        values = spectra(m, subsets, dims)
+        if target == "rho_t1":
+            row = [list(s) for s in subsets].index([1])
             values = values.copy()
-            values[0] += 1e-3
-            values[-1] -= 1e-3
-            values.sort()
+            values[row] = _shift_weight(values[row])
         return values
 
     monkeypatch.setattr(oracle, "hermitian_eigen", corrupting_eigen)
+    monkeypatch.setattr(oracle, "transpose_spectra", corrupting_spectra)
     residuals, w_sep = verify.state_residuals(state, np.random.default_rng(18), 20)
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert {name for name, entry in checks.items() if not entry["pass"]} == readers
