@@ -408,8 +408,10 @@ def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
     transpose sends an entry and its mirror to an entry and its mirror, so
     this gives the bits of doing it on each transpose), their positions
     are mapped to each transpose's, and :func:`_jacobi` diagonalises all
-    the transposes in one sweep loop.  Errors are those of
-    :func:`hermitian_eigen` and :func:`partial_transpose`.
+    the transposes in one sweep loop.  An empty subset transposes no party:
+    its row is ``hermitian_eigen(m, vectors=False)``.  Other subsets must
+    be proper, and errors are those of :func:`hermitian_eigen` and
+    :func:`partial_transpose`.
     """
     dims = tuple(int(d) for d in dims)
     total = math.prod(dims)
@@ -418,7 +420,7 @@ def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
             f"matrix shape {np.shape(m)} does not match party dimensions {dims} "
             f"(product {total})"
         )
-    subsets = [normalize_party_subset(s, len(dims), proper=True) for s in subsets]
+    subsets = [normalize_party_subset(s, len(dims), proper=True) if len(s) else () for s in subsets]
     _, keys, entries = _hermitian_entries(m)
     keys = _partial_transpose_keys(keys, subsets, dims)
     order = keys.argsort(axis=1)

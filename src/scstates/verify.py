@@ -37,10 +37,10 @@ class _DenseViews:
     each built on first use.
 
     ``state_residuals`` hands one to all its checks, so rho is built once,
-    rho is diagonalised once, and all its partial transposes over subsets
-    holding party 1 are diagonalised by one ``oracle.transpose_spectra``
-    call; a check called on its own makes its own.  Nothing here outlives
-    the call that made it.
+    and rho and all its partial transposes over subsets holding party 1
+    are diagonalised by one ``oracle.transpose_spectra`` call; a check
+    called on its own makes its own.  Nothing here outlives the call that
+    made it.
     """
 
     def __init__(self, state: SCState):
@@ -51,21 +51,21 @@ class _DenseViews:
         return oracle.dense_from_sc(self.state)
 
     @cached_property
-    def rho_values(self) -> np.ndarray:
-        """Jacobi eigenvalues of rho, ascending."""
-        return oracle.hermitian_eigen(self.rho, vectors=False)
-
-    @cached_property
-    def pt_values(self) -> np.ndarray:
-        """Jacobi eigenvalues of rho^{T_S}, ascending, one row per subset S in
-        :func:`_party_one_subsets` order; row 0 is rho^{T_1}."""
+    def spectra(self) -> np.ndarray:
+        """Jacobi eigenvalues, ascending: row 0 of rho (the empty subset), then
+        of rho^{T_S} for each proper subset S holding party 1, [1] first."""
         k = self.state.parties
-        return oracle.transpose_spectra(self.rho, _party_one_subsets(k), [self.state.dim] * k)
+        subsets = [[]] + [s for s in _all_proper_subsets(k) if s[0] == 1]
+        return oracle.transpose_spectra(self.rho, subsets, [self.state.dim] * k)
 
+    @property
+    def rho_values(self) -> np.ndarray:
+        return self.spectra[0]
 
-def _party_one_subsets(parties: int) -> list:
-    """The 2^(k-1) - 1 proper subsets holding party 1, [1] first."""
-    return [s for s in _all_proper_subsets(parties) if s[0] == 1]
+    @property
+    def pt_values(self) -> np.ndarray:
+        """The rows of rho^{T_S}; row 0 is rho^{T_1}."""
+        return self.spectra[1:]
 
 
 def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
@@ -309,12 +309,12 @@ def state_residuals(
 ):
     """(residual per check, min Tr[W sigma]) for every oracle check on one state.
 
-    The checks share one :class:`_DenseViews`: rho is built once, and
-    three Jacobi entry calls cover every spectrum, whatever k: rho's and
-    sigma's through ``oracle.hermitian_eigen``, and all 2^(k-1) - 1
-    partial transposes over subsets holding party 1 through one
-    ``oracle.transpose_spectra``.  The residual functions are looked up by their
-    module-global names on each call, so patching one of them in this
+    The checks share one :class:`_DenseViews`: rho is built once, and two
+    Jacobi entry calls cover every spectrum, whatever k: one
+    ``oracle.transpose_spectra`` call for rho and all 2^(k-1) - 1 partial
+    transposes over subsets holding party 1, and sigma's
+    ``oracle.hermitian_eigen``.  The residual functions are looked up by
+    their module-global names on each call, so patching one of them in this
     module reaches every caller.  ``rng`` is drawn from only by the
     witness's separable samples.
     """

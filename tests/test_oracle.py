@@ -345,10 +345,12 @@ def _transpose_panel():
     "m, dims", [pytest.param(m, dims, id=name) for name, m, dims in _transpose_panel()]
 )
 def test_transpose_spectra_rows_are_bit_identical_to_the_dense_route(m, dims):
-    subsets = list(verify._all_proper_subsets(len(dims)))
+    # the empty subset transposes nothing: its row is m's own spectrum
+    subsets = [[]] + list(verify._all_proper_subsets(len(dims)))
     spectra = transpose_spectra(m, subsets, dims)
     assert spectra.shape == (len(subsets), m.shape[0])
-    for subset, row in zip(subsets, spectra):
+    assert np.array_equal(spectra[0], hermitian_eigen(m, vectors=False))
+    for subset, row in zip(subsets[1:], spectra[1:]):
         dense = hermitian_eigen(partial_transpose(m, subset, dims), vectors=False)
         assert np.array_equal(row, dense), subset
 

@@ -137,9 +137,11 @@ def test_pt_spectrum_residual_diagonalises_one_of_each_complementary_pair(
     monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     monkeypatch.setattr(oracle, "hermitian_eigen", _refuse("hermitian_eigen"))
     residual = verify.pt_spectrum_residual(random_sc_state(parties, dim, 7))
-    # one stacked call; the complement of each subset holding party 1 has the same spectrum
+    # one stacked call, rho itself (the empty subset) first; the complement
+    # of each subset holding party 1 has the same spectrum
     assert len(calls) == 1
-    subsets = calls[0]
+    assert calls[0][0] == ()
+    subsets = calls[0][1:]
     assert len(subsets) == len(set(subsets)) == 2 ** (parties - 1) - 1
     assert all(1 in subset for subset in subsets)
     assert residual <= separability.DEFAULT_SEP_TOL
@@ -164,8 +166,8 @@ def test_state_residuals_diagonalise_rho_and_its_first_party_transpose_once(
     monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     state = random_sc_state(parties, dim, 17)
     residuals, w_sep = verify.state_residuals(state, np.random.default_rng(17), 20)
-    # rho and sigma, and all transposes (rho^{T_1} among them) in one call, whatever k
-    assert sorted(calls) == ["hermitian_eigen", "hermitian_eigen", "transpose_spectra"]
+    # sigma, and rho with all its transposes (rho^{T_1} among them) in one call, whatever k
+    assert sorted(calls) == ["hermitian_eigen", "transpose_spectra"]
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert all(entry["pass"] for entry in checks.values())
 
@@ -187,25 +189,16 @@ def _shift_weight(values):
 def test_state_residuals_hand_each_shared_spectrum_to_every_check_that_reads_it(
     monkeypatch, target, readers
 ):
+    # corrupt the one row of rho (the empty subset) or of rho^{T_1}
     state = random_sc_state(3, 3, 18)
-    rho = oracle.dense_from_sc(state)
-    eigen, spectra = oracle.hermitian_eigen, oracle.transpose_spectra
-
-    def corrupting_eigen(m, **kwargs):
-        values = eigen(m, **kwargs)
-        if target == "rho" and np.array_equal(m, rho):
-            values = _shift_weight(values)
-        return values
+    spectra, subset = oracle.transpose_spectra, {"rho": [], "rho_t1": [1]}[target]
 
     def corrupting_spectra(m, subsets, dims):
-        values = spectra(m, subsets, dims)
-        if target == "rho_t1":
-            row = [list(s) for s in subsets].index([1])
-            values = values.copy()
-            values[row] = _shift_weight(values[row])
+        values = spectra(m, subsets, dims).copy()
+        row = [list(s) for s in subsets].index(subset)
+        values[row] = _shift_weight(values[row])
         return values
 
-    monkeypatch.setattr(oracle, "hermitian_eigen", corrupting_eigen)
     monkeypatch.setattr(oracle, "transpose_spectra", corrupting_spectra)
     residuals, w_sep = verify.state_residuals(state, np.random.default_rng(18), 20)
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
