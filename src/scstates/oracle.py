@@ -375,8 +375,8 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
     orthonormality hold to well below 1e-9 for desk-scale matrices; the
     eigenvector matrix is the only n x n array allocated.  With
     ``vectors=False`` only the values are returned, bit-identical to the
-    first item of the full result, no eigenvector is accumulated and no
-    n x n array is allocated.
+    first item of the full result, no eigenvector is accumulated and the
+    largest temporary is the pattern scan's row block of at most 1 MiB.
     """
     n, keys, entries = _hermitian_entries(m)
     if not vectors:
