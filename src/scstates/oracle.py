@@ -205,11 +205,10 @@ def _hermitian_entries(m) -> tuple:
     n = len(a)
     step = max(1, (1 << 20) // max(1, 2 * n))
     # an entry is nonzero when either part is: its two part flags as one uint16
-    found = [
-        np.ascontiguousarray(a[r : r + step]).view(float).astype(bool).view(np.uint16).ravel().nonzero()[0]
-        + r * n
-        for r in range(0, max(n, 1), step)
-    ]
+    found = []
+    for r in range(0, max(n, 1), step):
+        flags = np.ascontiguousarray(a[r : r + step]).view(float).astype(bool)
+        found.append(flags.view(np.uint16).ravel().nonzero()[0] + r * n)
     keys = found[0] if len(found) == 1 else np.concatenate(found)
     rows, cols = np.divmod(keys, n)
     entries, mirrored = _check_finite(a, rows, cols), a[cols, rows].conj()
@@ -255,7 +254,7 @@ def _components(src, dst) -> list:
     return [np.array(by_size[c]) for c in sorted(by_size)]
 
 
-def _gather_blocks(members: np.ndarray, n: int, flat: np.ndarray, entries: np.ndarray) -> np.ndarray:
+def _gather_blocks(members: np.ndarray, n: int, flat: np.ndarray, entries: np.ndarray):
     """The stack (blocks, c, c) of the blocks on the vertex rows of ``members``
     (vertex i n + r is index r of matrix i), read off the entries at the
     ascending flat positions ``flat`` (i n^2 + r n + c); absent ones are 0."""
@@ -294,7 +293,8 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
     classes = _components(vertex[upper], (vertex - local + col)[upper])
     stacks = [_gather_blocks(members, n, flat, entries) for members in classes]
     if vectors:  # eigenvector rows under each block, rotated with its columns
-        stacks = [np.concatenate([x, np.broadcast_to(np.eye(x.shape[2]), x.shape)], axis=1) for x in stacks]
+        eyes = [np.broadcast_to(np.eye(x.shape[2]), x.shape) for x in stacks]
+        stacks = [np.concatenate([x, eye], axis=1) for x, eye in zip(stacks, eyes)]
     owners = [members[:, 0] // n for members in classes]  # the matrix of each block
     owner = np.concatenate(owners) if classes else None
     pairs = [_pair_indices(x.shape[2]) for x in stacks]
@@ -303,7 +303,7 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
     norms = np.sqrt(np.add.reduce(np.square(entries.view(float)).reshape(count, -1), axis=1))
     conv_tol = 1e-12
     for sweep in range(101 if classes else 0):  # no coupled pair: nothing to rotate
-        square = [np.add.reduce(np.square(x.take(at, axis=1).view(float)), axis=1) for x, at in uppers]
+        square = [np.add.reduce(np.square(x.take(at, 1).view(float)), axis=1) for x, at in uppers]
         square = square[0] if len(square) == 1 else np.concatenate(square)
         off = np.sqrt(2.0 * np.bincount(owner, square, minlength=count))
         live = off > conv_tol * norms
@@ -392,7 +392,8 @@ def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarra
     column index."""
     k, n = len(dims), math.prod(dims)
     stride = [math.prod(dims[p + 1 :]) for p in range(k)]
-    digits = keys // np.array([s * n for s in stride] + stride)[:, None] % np.array(dims * 2)[:, None]
+    place = np.array([s * n for s in stride] + stride)[:, None]
+    digits = keys // place % np.array(dims * 2)[:, None]
     swapped = (digits[k:] - digits[:k]) * np.array(stride)[:, None]  # what the row index gains
     chosen = np.array([[p in subset for p in range(1, k + 1)] for subset in subsets], dtype=int)
     return keys + (chosen @ swapped) * (n - 1)  # and the column index loses

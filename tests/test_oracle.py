@@ -335,10 +335,12 @@ def test_complementary_partial_transposes_have_bit_identical_spectra(parties, di
 def _transpose_panel():
     rng = np.random.default_rng(1801)
     for parties, dim in [(2, 2), (3, 2), (2, 3), (4, 3), (6, 2)]:
-        yield f"rho{parties}{dim}", dense_from_sc(random_sc_state(parties, dim, rng)), [dim] * parties
+        rho = dense_from_sc(random_sc_state(parties, dim, rng))
+        yield f"rho{parties}{dim}", rho, [dim] * parties
     # generic dense matrices: their transposes have large coupled blocks
     for dims in [(2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]:
-        yield "dense" + "".join(map(str, dims)), random_hermitian(int(np.prod(dims)), rng), list(dims)
+        m = random_hermitian(int(np.prod(dims)), rng)
+        yield "dense" + "".join(map(str, dims)), m, list(dims)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +403,9 @@ def test_transpose_spectra_close_a_one_sided_pattern_like_the_dense_route():
     [((7, 3), np.nan, ValueError), ((0, 5), np.inf, ValueError), ((2, 9), 1e-3, NotHermitianError)],
     ids=["nan", "inf", "not-hermitian"],
 )
-def test_transpose_spectra_refuse_bad_input_as_hermitian_eigen_does(monkeypatch, where, value, error):
+def test_transpose_spectra_refuse_bad_input_as_hermitian_eigen_does(
+    monkeypatch, where, value, error
+):
     monkeypatch.setattr(oracle, "_jacobi_rotation", _no_rotation)
     m = random_hermitian(12, np.random.default_rng(1803))
     m[where] += value
@@ -434,7 +438,8 @@ def test_jacobi_reports_the_matrix_that_does_not_converge(monkeypatch):
         transpose_spectra(rho, [[1], [1, 2]], [2, 2, 2])
     for raised, matrix in ((single, m), (stacked, partial_transpose(rho, [1], [2, 2, 2]))):
         off = np.sqrt(2.0) * np.linalg.norm(matrix[np.triu_indices(len(matrix), 1)])
-        assert f"off-diagonal norm {off:.3e} above 1e-12 * {np.linalg.norm(matrix):.3e}" in str(raised.value)
+        norms = f"off-diagonal norm {off:.3e} above 1e-12 * {np.linalg.norm(matrix):.3e}"
+        assert norms in str(raised.value)
 
 
 def test_jacobi_gathers_each_nonzero_once():
