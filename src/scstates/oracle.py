@@ -70,7 +70,7 @@ def repeated_basis_index(level, parties: int, dim: int):
 
 def normalize_party_subset(subset, parties: int, *, proper: bool = False) -> tuple:
     """Validate a 1-based party subset; returns it sorted and deduplicated."""
-    idx = sorted({int(p) for p in subset})
+    idx = sorted(set(int(p) for p in subset))
     if not idx:
         raise ValueError("party subset must be nonempty")
     if idx[0] < 1 or idx[-1] > parties:
@@ -145,16 +145,20 @@ def _jacobi_rotation(a_pp, a_qq, a_pq):
     return c, t * c, a_pq / ab
 
 
-def _rotate(x: np.ndarray, p: int, q: int, c, u, v) -> None:
-    """Apply [[c, -u], [v, c]] in place to rows p and q of ``x``, or of every
-    matrix in a stack ``x`` with c, u and v of shape (stack, 1).
+def _rotate(x: np.ndarray, p: int, q: int, c, k) -> None:
+    """Apply [[c, k_0], [k_1, c]] in place to rows p and q of ``x``, with
+    ``k`` = [[k_0], [k_1]]; or to those rows of every matrix in a stack
+    ``x``, with c of shape (stack, 1, 1) and k of shape (stack, 2, 1).
 
-    For the Jacobi rotation (c, s, phase) the rows take u = s phase and
-    v = s conj(phase), and the columns, rotated as the rows of the
-    transpose view, the two swapped.
+    The two rows are one strided view, so each product and the sum take
+    one array operation for both.  For the Jacobi rotation (c, s, phase)
+    the rows take k = [[-u], [v]] with u = s phase and v = s conj(phase),
+    and the columns, rotated as the rows of the transpose view,
+    k = [[-v], [u]]: row p becomes c x_p + (-u) x_q, the same bits as
+    c x_p - u x_q.
     """
-    xp, xq = x[..., p, :], x[..., q, :]
-    x[..., p, :], x[..., q, :] = c * xp - u * xq, v * xp + c * xq
+    pair = x[..., p : q + 1 : q - p, :]
+    pair[...] = c * pair + k * pair[..., ::-1, :]
 
 
 def _rotate_pair(x: np.ndarray, p: int, q: int) -> None:
@@ -168,11 +172,12 @@ def _rotate_pair(x: np.ndarray, p: int, q: int) -> None:
     at = (...,) * (x.ndim - 2)  # a single block is indexed to scalars
     pp, qq, pq = at + (p, p), at + (q, q), at + (p, q)
     c, s, phase = _jacobi_rotation(x[pp].real, x[qq].real, x[pq])
-    if at:
-        c, s, phase = c[:, None], s[:, None], phase[:, None]
     u, v = s * phase, s * np.conj(phase)
-    _rotate(x, p, q, c, u, v)
-    _rotate(x.swapaxes(-1, -2), p, q, c, v, u)
+    k = np.array([-u, v, -v, u]).T[..., None]  # the row and the column coefficients
+    if at:
+        c = c[:, None, None]
+    _rotate(x, p, q, c, k[..., :2, :])
+    _rotate(x.swapaxes(-1, -2), p, q, c, k[..., 2:, :])
     x[pq] = x[at + (q, p)] = 0.0
     x[pp], x[qq] = x[pp].real, x[qq].real
 
@@ -193,29 +198,25 @@ def _hermitian_entries(m) -> tuple:
 
     ``keys`` are the flat row-major positions r n + c of the nonzero
     pattern of ``m`` OR-ed with its transpose, ascending, and ``entries``
-    the symmetrised (m + m^dag)/2 there.  The pattern is read in row
-    blocks of at most 1 MiB, so no larger temporary is made.  A non-finite
-    entry raises ``ValueError`` naming the first in row-major order, and
-    an |m - m^dag| entry above ``states.DEFAULT_TOL`` raises
+    the symmetrised (m + m^dag)/2 there.  The pattern is read in blocks
+    of rows and of the matching columns whose flags take at most 1 MiB,
+    so no larger temporary is made.  A non-finite entry raises
+    ``ValueError`` naming the first in row-major order, and an
+    |m - m^dag| entry above ``states.DEFAULT_TOL`` raises
     :class:`NotHermitianError`.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     n = len(a)
-    step = max(1, (1 << 20) // max(1, 2 * n))
-    # an entry is nonzero when either part is: its two part flags as one uint16
-    found = []
-    for r in range(0, max(n, 1), step):
-        flags = np.ascontiguousarray(a[r : r + step]).view(float).astype(bool)
-        found.append(flags.view(np.uint16).ravel().nonzero()[0] + r * n)
-    keys = found[0] if len(found) == 1 else np.concatenate(found)
+    step = max(1, (1 << 20) // max(1, n))
+    found = [
+        ((a[r : r + step] != 0) | (a[:, r : r + step].T != 0)).ravel().nonzero()[0] + r * n
+        for r in range(0, max(n, 1), step)
+    ]
+    keys = np.concatenate(found)
     rows, cols = np.divmod(keys, n)
     entries, mirrored = _check_finite(a, rows, cols), a[cols, rows].conj()
-    if not mirrored.all():  # close the pattern under transposition, with zeros
-        keys = np.union1d(keys, cols * n + rows)
-        rows, cols = np.divmod(keys, n)
-        entries, mirrored = a[rows, cols], a[cols, rows].conj()
     defect = float(np.maximum.reduce(abs(entries - mirrored), initial=0.0))
     if defect > DEFAULT_TOL:
         raise NotHermitianError(
@@ -231,15 +232,11 @@ def _components(src, dst) -> list:
 
     Returns one int array (blocks, c) per component size c, ascending:
     each row is one component's vertices, ascending, and the rows are in
-    the order of their smallest vertex.  Edges that share no vertex are
-    each a component; otherwise components are merged edge by edge,
-    smaller group into larger.
+    the order of their smallest vertex.  Components are merged edge by
+    edge, smaller group into larger.
     """
-    src, dst = src.tolist(), dst.tolist()
-    if len(set(src + dst)) == 2 * len(src):
-        return [np.array([src, dst]).T] if src else []
     group_of = {}
-    for p, q in zip(src, dst):
+    for p, q in zip(src.tolist(), dst.tolist()):
         gp = group_of.setdefault(p, [p])
         gq = group_of.setdefault(q, [q])
         if gp is not gq:
@@ -254,13 +251,67 @@ def _components(src, dst) -> list:
     return [np.array(by_size[c]) for c in sorted(by_size)]
 
 
-def _gather_blocks(members: np.ndarray, n: int, flat: np.ndarray, entries: np.ndarray):
-    """The stack (blocks, c, c) of the blocks on the vertex rows of ``members``
-    (vertex i n + r is index r of matrix i), read off the entries at the
-    ascending flat positions ``flat`` (i n^2 + r n + c); absent ones are 0."""
-    query = (members * n)[:, :, None] + (members % n)[:, None, :]
-    at = flat.searchsorted(query)
-    return np.where(flat.take(at, mode="clip") == query, entries.take(at, mode="clip"), 0.0)
+@functools.lru_cache(maxsize=64)
+def _block_layout(n: int, count: int, vectors: bool, pattern: bytes) -> tuple:
+    """Where :func:`_jacobi` puts the entries of ``count`` Hermitian n x n
+    matrices whose nonzeros sit at the row-major positions ``pattern``, the
+    bytes of an int array (count, E) with ascending rows.
+
+    Vertex i n + r is row r of matrix i.  All blocks live in one flat
+    buffer, ``np.concatenate([entries, [0, 1]]).take(index)`` for the M E
+    entries in ``pattern`` order.  Returns (index, stacks, upper_at,
+    owner, diagonal, vertex, within, members):
+    - ``stacks``, per block size c, ascending: (start, stop, shape,
+      owners, pairs, members), the buffer slice of the stack and its shape
+      (blocks, c, c), or (blocks, 2c, c) with c eigenvector rows under
+      each block for ``vectors``, starting as the identity; the matrix of
+      each block; the pairs (p, q), p < q, in row-major order; and each
+      block's vertices, as from :func:`_components`;
+    - ``upper_at``, the buffer positions of the blocks' entries (p, q),
+      p < q, and ``owner``, the matrix of each of their float parts;
+    - ``diagonal``, the entries on a diagonal, and ``vertex``, theirs;
+    - ``within``, the buffer positions of the blocks' diagonals, and
+      ``members``, their vertices.
+    The layout depends only on the pattern, which many matrices share (all
+    random states of one shape and rank, and their partial transposes), so
+    the last 64 are kept.  Its arrays are read-only.
+    """
+    keys = np.frombuffer(pattern, dtype=int).reshape(count, -1)
+    # matrix i's entry (r, c) sits at i n^2 + r n + c, so these ascend
+    flat = (keys + np.arange(0, count * n * n, n * n)[:, None]).ravel()
+    vertex, col = np.divmod(flat, n)
+    other = vertex - vertex % n + col  # the vertex of the entry's column
+    is_upper = vertex < other
+    zero, one = len(flat), len(flat) + 1  # the places of the 0 and the 1
+    stacks, parts, start = [], [], 0
+    for members in _components(vertex[is_upper], other[is_upper]):
+        c = members.shape[1]
+        query = (members * n)[:, :, None] + (members % n)[:, None, :]
+        at = flat.searchsorted(query)
+        block = np.where(flat.take(at, mode="clip") == query, at, zero)
+        if vectors:
+            eye = np.broadcast_to(np.where(np.eye(c, dtype=bool), one, zero), block.shape)
+            block = np.concatenate([block, eye], axis=1)
+        base = start + np.arange(0, block.size, block[0].size)[:, None]
+        j, k = _pair_indices(c)
+        owners = members[:, 0] // n
+        pairs = tuple(zip(j.tolist(), k.tolist()))
+        stacks.append((start, start + block.size, block.shape, owners, pairs, members))
+        diagonals = base + np.arange(0, c * c, c + 1)
+        parts.append((block, base + (j * c + k), np.repeat(owners, 2 * j.size), diagonals, members))
+        start += block.size
+    index, upper_at, owner, within, members = (
+        np.concatenate([np.zeros(0, dtype=int)] + [part[i].ravel() for part in parts])
+        for i in range(5)
+    )
+    diagonal = (vertex == other).nonzero()[0]
+    vertex = vertex[diagonal]
+    for array in [index, upper_at, owner, diagonal, vertex, within, members]:
+        array.setflags(write=False)
+    for *_, owners, _, block_members in stacks:
+        owners.setflags(write=False)
+        block_members.setflags(write=False)
+    return index, tuple(stacks), upper_at, owner, diagonal, vertex, within, members
 
 
 def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False):
@@ -271,42 +322,33 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
     connected component of a matrix's pattern is rotated as a compact
     c x c block: a rotation on (p, q) rewrites only rows and columns p and
     q, so entries between components stay zero, as in a sweep over the
-    whole matrix.  Blocks of equal size are stacked, and each rotation acts
-    on the blocks of the stack whose entry is nonzero and whose matrix has
-    not converged; a stack of one block is indexed to scalars.  Either way
-    a block sees the arithmetic and the row-major pair order of the full
-    sweep, so a matrix's values do not depend on what is stacked with it.
+    whole matrix.  Blocks of equal size are stacked (:func:`_block_layout`),
+    and each rotation acts on the blocks of the stack whose entry is
+    nonzero and whose matrix has not converged; a stack of one block is
+    indexed to scalars.  Either way a block sees the arithmetic and the
+    row-major pair order of the full sweep, so a matrix's values do not
+    depend on what is stacked with it.
 
-    A matrix has converged when its off-diagonal Frobenius norm, summed
-    block by block, is at most 1e-12 times its norm; one still above after
-    100 sweeps raises :class:`EigenConvergenceError`.  Returns the
-    ascending eigenvalues, shape (M, n), and with ``vectors`` (M = 1) the
-    matching eigenvector columns.
+    A matrix has converged when its off-diagonal Frobenius norm is at most
+    1e-12 times its norm; one still above after 100 sweeps raises
+    :class:`EigenConvergenceError`.  Returns the ascending eigenvalues,
+    shape (M, n), and with ``vectors`` (M = 1) the matching eigenvector
+    columns.
     """
     count = len(keys)
-    # matrix i's entry (r, c) sits at i n^2 + r n + c, so these ascend
-    flat = (keys + np.arange(0, count * n * n, n * n)[:, None]).ravel() if count != 1 else keys[0]
+    index, stacks, upper_at, owner, diagonal, vertex, within, members = _block_layout(
+        n, count, vectors, keys.tobytes()
+    )
     entries = entries.ravel()
-    vertex, col = np.divmod(flat, n)  # vertex i n + r is row r of matrix i
-    local = vertex % n
-    upper = local < col
-    classes = _components(vertex[upper], (vertex - local + col)[upper])
-    stacks = [_gather_blocks(members, n, flat, entries) for members in classes]
-    if vectors:  # eigenvector rows under each block, rotated with its columns
-        eyes = [np.broadcast_to(np.eye(x.shape[2]), x.shape) for x in stacks]
-        stacks = [np.concatenate([x, eye], axis=1) for x, eye in zip(stacks, eyes)]
-    owners = [members[:, 0] // n for members in classes]  # the matrix of each block
-    owner = np.concatenate(owners) if classes else None
-    pairs = [_pair_indices(x.shape[2]) for x in stacks]
-    uppers = [(x.reshape(len(x), -1), j * x.shape[2] + k) for x, (j, k) in zip(stacks, pairs)]
-    pairs = [list(zip(j.tolist(), k.tolist())) for j, k in pairs]
+    buffer = np.concatenate([entries, [0.0, 1.0]]).take(index)
+    blocks = [buffer[start:stop].reshape(shape) for start, stop, shape, *_ in stacks]
     norms = np.sqrt(np.add.reduce(np.square(entries.view(float)).reshape(count, -1), axis=1))
     conv_tol = 1e-12
-    for sweep in range(101 if classes else 0):  # no coupled pair: nothing to rotate
-        square = [np.add.reduce(np.square(x.take(at, 1).view(float)), axis=1) for x, at in uppers]
-        square = square[0] if len(square) == 1 else np.concatenate(square)
+    limit = conv_tol * norms
+    for sweep in range(101 if stacks else 0):  # no coupled pair: nothing to rotate
+        square = np.square(buffer.take(upper_at).view(float))
         off = np.sqrt(2.0 * np.bincount(owner, square, minlength=count))
-        live = off > conv_tol * norms
+        live = off > limit
         above = live.nonzero()[0]
         if not above.size:
             break
@@ -315,26 +357,23 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
                 f"Jacobi sweeps did not converge: off-diagonal norm {off[above[0]]:.3e} "
                 f"above {conv_tol:.0e} * {norms[above[0]]:.3e} after 100 sweeps"
             )
-        for x, own, pq in zip(stacks, owners, pairs):
-            on = live[own]
+        for x, (*_, owners, pq, _) in zip(blocks, stacks):
+            on = live[owners]
             if len(x) == 1:
+                block = x[0]
                 for p, q in pq if on[0] else ():
-                    if x[0, p, q] != 0.0:
-                        _rotate_pair(x[0], p, q)
+                    if block[p, q] != 0.0:
+                        _rotate_pair(block, p, q)
                 continue
             for p, q in pq:
                 hit = (on & (x[:, p, q] != 0.0)).nonzero()[0]
-                if hit.size == len(x):
-                    _rotate_pair(x, p, q)
-                elif hit.size:
+                if hit.size:
                     part = x[hit]
                     _rotate_pair(part, p, q)
                     x[hit] = part
     values = np.zeros(count * n)
-    diagonal = local == col
-    values[vertex[diagonal]] = entries[diagonal].real
-    for members, x in zip(classes, stacks):
-        values[members] = x.diagonal(axis1=1, axis2=2).real
+    values[vertex] = entries[diagonal].real
+    values[members] = buffer[within].real
     values = values.reshape(count, n)
     if not vectors:
         values.sort(axis=1, kind="stable")
@@ -344,8 +383,9 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
     column[order] = np.arange(n)  # eigenvector r goes to column column[r]
     v = np.zeros((n, n), dtype=complex)
     v[np.arange(n), column] = 1.0  # unit vectors, overwritten on every block
-    for members, x in zip(classes, stacks):
-        v[members[:, :, None], column[members][:, None, :]] = x[:, members.shape[1] :]
+    for x, (*_, block_members) in zip(blocks, stacks):
+        rows, columns = block_members[:, :, None], column[block_members][:, None, :]
+        v[rows, columns] = x[:, block_members.shape[1] :]
     return values[:, order], v
 
 
@@ -363,7 +403,9 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
     per connected component of that pattern (:func:`_jacobi`), visiting
     its pairs in row-major order and skipping a pair whose entry is
     exactly zero; this gives the bits of a row-major sweep over the whole
-    matrix, and no n x n working copy is made.
+    matrix, and no n x n working copy is made.  Where the blocks lie
+    depends only on the pattern, and is kept for the last 64 patterns
+    (:func:`_block_layout`).
 
     ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
     exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.  A
@@ -375,8 +417,9 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
     orthonormality hold to well below 1e-9 for desk-scale matrices; the
     eigenvector matrix is the only n x n array allocated.  With
     ``vectors=False`` only the values are returned, bit-identical to the
-    first item of the full result, no eigenvector is accumulated and the
-    largest temporary is the pattern scan's row block of at most 1 MiB.
+    first item of the full result, no eigenvector is accumulated and no
+    n x n array is allocated: the pattern scan's flags take at most 1 MiB
+    per block of rows.
     """
     n, keys, entries = _hermitian_entries(m)
     if not vectors:
@@ -479,7 +522,7 @@ def trace_norm(m: np.ndarray) -> float:
                     continue
                 # the rotation that zeroes entry (p, q) of a a^dag
                 c, s, phase = _jacobi_rotation(alpha, beta, b)
-                _rotate(a, p, q, c, s * phase, s * np.conj(phase))
+                _rotate(a, p, q, c, np.array([[-s * phase], [s * np.conj(phase)]]))
     raise EigenConvergenceError(
         "one-sided Jacobi did not orthogonalise the rows in 100 sweeps"
     )

@@ -38,9 +38,11 @@ class _DenseViews:
 
     ``state_residuals`` hands one to all its checks, so rho is built once,
     and rho and all its partial transposes over subsets holding party 1
-    are diagonalised by one ``oracle.transpose_spectra`` call; a check
-    called on its own makes its own.  Nothing here outlives the call that
-    made it.
+    are diagonalised by one ``oracle.transpose_spectra`` call.  A check
+    called on its own makes its own and pays for that whole stack, also
+    where it reads one row: rho's for the state spectrum and the relative
+    entropy, rho^{T_1}'s for the negativity.  Nothing here outlives the
+    call that made it.
     """
 
     def __init__(self, state: SCState):

@@ -215,6 +215,42 @@ def test_jacobi_rejects_non_finite_before_any_sweep(monkeypatch):
                 hermitian_eigen(m, vectors=vectors)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{(3, 5): np.inf, (5, 3): np.inf}, {(4, 4): -np.inf}, {(2, 9): 1.0, (6, 1): np.nan}],
+    ids=["mirrored-pair", "diagonal", "after-a-hermitian-defect"],
+)
+def test_jacobi_names_a_non_finite_entry_before_any_hermitian_defect(monkeypatch, bad):
+    # a non-finite entry is named, also when its mirror is non-finite too, on
+    # the diagonal, or after a Hermitian defect in row-major order
+    monkeypatch.setattr(oracle, "_jacobi_rotation", _no_rotation)
+    m = random_hermitian(12, np.random.default_rng(17))
+    for where, value in bad.items():
+        m[where] = value
+    first = min(where for where, value in bad.items() if not np.isfinite(value))
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f" at {first}") + "$"):
+            hermitian_eigen(m, vectors=vectors)
+
+
+def test_jacobi_reuses_one_read_only_layout_per_pattern():
+    # two matrices of one pattern share the cached block layout, and each
+    # still gets its own spectrum
+    rng = np.random.default_rng(1809)
+    first = random_hermitian(10, rng)
+    first[np.abs(first) < 0.9] = 0.0
+    second = np.where(first != 0.0, random_hermitian(10, rng), 0.0)
+    oracle._block_layout.cache_clear()
+    for m in (first, second):
+        assert np.array_equal(hermitian_eigen(m, vectors=False), _reference_hermitian_eigen(m)[0])
+    info = oracle._block_layout.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    n, keys, _ = oracle._hermitian_entries(first)
+    index, stacks, *arrays = oracle._block_layout(n, 1, False, keys.tobytes())
+    arrays += [index] + [array for stack in stacks for array in stack[3::2]]
+    assert stacks and not any(array.flags.writeable for array in arrays)
+
+
 def test_trace_norm_rejects_non_finite_before_any_sweep(monkeypatch):
     monkeypatch.setattr(oracle, "_jacobi_rotation", _no_rotation)
     m = np.random.default_rng(14).standard_normal((6, 9)).astype(complex)
