@@ -456,6 +456,13 @@ def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
     its row is ``hermitian_eigen(m, vectors=False)``.  Other subsets must
     be proper, and errors are those of :func:`hermitian_eigen` and
     :func:`partial_transpose`.
+
+    What depends only on the subsets and on the nonzero pattern of ``m``
+    is kept, read-only, for the last 64 of each, as the Jacobi block
+    layout is: the validated subsets (:func:`_valid_subsets`), and the
+    transposed positions with the order that sorts them
+    (:func:`_transposed_keys`).  So another state of one shape and rank
+    pays only for reading its entries and for the sweeps.
     """
     dims = tuple(int(d) for d in dims)
     total = math.prod(dims)
@@ -464,12 +471,36 @@ def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
             f"matrix shape {np.shape(m)} does not match party dimensions {dims} "
             f"(product {total})"
         )
-    subsets = [normalize_party_subset(s, len(dims), proper=True) if len(s) else () for s in subsets]
+    subsets = _valid_subsets(tuple(map(tuple, subsets)), len(dims))
     _, keys, entries = _hermitian_entries(m)
-    keys = _partial_transpose_keys(keys, subsets, dims)
-    order = keys.argsort(axis=1)
-    keys.sort(axis=1)
+    keys, order = _transposed_keys(keys.tobytes(), subsets, dims, _partial_transpose_keys)
     return _jacobi(total, keys, entries[order])
+
+
+@functools.lru_cache(maxsize=64)
+def _valid_subsets(subsets: tuple, parties: int) -> tuple:
+    """The subsets :func:`transpose_spectra` was given, each normalised by
+    :func:`normalize_party_subset` as a proper subset, or () if empty."""
+    return tuple(normalize_party_subset(s, parties, proper=True) if s else () for s in subsets)
+
+
+@functools.lru_cache(maxsize=64)
+def _transposed_keys(pattern: bytes, subsets: tuple, dims: tuple, rule) -> tuple:
+    """(keys, order), read-only: the positions ``rule(pattern keys, subsets,
+    dims)`` gives the entries at the row-major positions ``pattern`` (the
+    bytes of an ascending int array) in each partial transpose, sorted per
+    row, and the order that sorts them.
+
+    ``rule`` is :func:`_partial_transpose_keys` as the caller finds it, so
+    the cache is keyed by the index rule too and a replaced rule is always
+    called.
+    """
+    keys = rule(np.frombuffer(pattern, dtype=int), subsets, dims)
+    order = keys.argsort(axis=1)
+    keys = np.sort(keys, axis=1)
+    keys.setflags(write=False)
+    order.setflags(write=False)
+    return keys, order
 
 
 def realign(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -503,7 +534,7 @@ def trace_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    _check_finite(m, *np.nonzero(m))
+    _check_finite(m, *np.nonzero(m != 0))  # numpy scans the flags faster than complex m
     a = m.copy() if m.shape[0] <= m.shape[1] else m.conj().T.copy()
     rows = a.shape[0]
     conv_tol = max(a.shape) * np.finfo(float).eps
@@ -606,14 +637,48 @@ def diagonal_generator_values(d: int, levels) -> np.ndarray:
     return np.sqrt(2.0 / ((i + 1) * (i + 2))) * ((x <= i) - (i + 1) * (x == i + 1))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _pair_indices(d: int) -> tuple:
     """``np.triu_indices(d, 1)``, read-only: the one order of the pairs j < k,
-    for the SU(d) generators and for the coefficient pairs a_mn, m < n."""
+    for the SU(d) generators and for the coefficient pairs a_mn, m < n.
+    Kept for the last 64 d."""
     iu = np.triu_indices(d, 1)
     for idx in iu:
         idx.setflags(write=False)
     return iu
+
+
+def _generator_levels(d: int, count: int) -> tuple:
+    """(levels, values, first, second, slot), read-only, for ``count`` evenly
+    spaced levels of SU(d), from 0 to d - 1 (``count`` = d: all of them).
+
+    ``values`` is :func:`diagonal_generator_values` at ``levels``; per pair
+    m < n of the levels, in :func:`_pair_indices` order, ``first`` and
+    ``second`` are levels[m] and levels[n], and ``slot`` the index of
+    their symmetric generator (:func:`_pair_position`).  These depend only
+    on (d, count), which repeat with the shape of a state, so they are
+    kept for the last 64 (d, count) whose table holds at most 2^12 entries
+    (32 KiB; everything kept for one is under 100 KiB).  Larger ones are
+    built per call: they only arise where the dense rebuild they feed costs
+    far more than building them.
+    """
+    if (d - 1) * count > 1 << 12:
+        return _build_generator_levels(d, count)
+    return _kept_generator_levels(d, count)
+
+
+def _build_generator_levels(d: int, count: int) -> tuple:
+    levels = np.arange(count) * ((d - 1) // max(count - 1, 1))
+    m, n = _pair_indices(count)
+    first, second = levels[m], levels[n]
+    out = (levels, diagonal_generator_values(d, levels), first, second)
+    out += (_pair_position(d, first, second),)
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+_kept_generator_levels = functools.lru_cache(maxsize=64)(_build_generator_levels)
 
 
 def generator_combination(coeffs, d: int) -> np.ndarray:
@@ -624,20 +689,26 @@ def generator_combination(coeffs, d: int) -> np.ndarray:
     from :func:`diagonal_generator_values`, the symmetric and
     antisymmetric ones of pair (j, k) at (j, k) and (k, j), pairs in
     :func:`_pair_indices` order.  :func:`_pair_position` is the inverse
-    map.
+    map.  The table and the index vectors come from
+    :func:`_generator_levels`, so a repeated d reuses them.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-1:] != (d * d - 1,):
         raise ValueError(f"need {d * d - 1} coefficients on the last axis, got {coeffs.shape}")
-    level = np.arange(d)
-    j, k = _pair_indices(d)
-    sym = coeffs[..., d - 1 : d - 1 + j.size]
-    anti = coeffs[..., d - 1 + j.size :]
+    level, values, j, k, _ = _generator_levels(d, d)
     out = np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex)
-    out[..., level, level] = coeffs[..., : d - 1] @ diagonal_generator_values(d, level)
-    out[..., j, k] = sym - 1j * anti
-    out[..., k, j] = sym + 1j * anti
+    out[..., level, level] = coeffs[..., : d - 1] @ values
+    sym, anti = coeffs[..., d - 1 : d - 1 + j.size], coeffs[..., d - 1 + j.size :]
+    out[..., j, k], out[..., k, j] = _pair_entries(sym, anti)
     return out
+
+
+def _pair_entries(sym, anti) -> tuple:
+    """The entries at (j, k) and (k, j), j < k, of sym g + anti g' for the
+    symmetric generator g and the antisymmetric one g' of the pair (j, k):
+    sym - i anti and sym + i anti.  The one place of that sign convention."""
+    anti = 1j * anti
+    return sym - anti, sym + anti
 
 
 def _pair_position(d: int, j: np.ndarray, k: np.ndarray) -> np.ndarray:

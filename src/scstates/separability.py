@@ -251,11 +251,10 @@ def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     dim_first = n**split
     dim_rest = n ** (k - split)
     a = state.a
-    levels_first = repeated_basis_index(np.arange(n), split, n)
-    levels_rest = repeated_basis_index(np.arange(n), k - split, n)
+    # the levels m_A, m_B with their tables and pair slots, kept per shape
+    _, diag_first, _, _, pair_first = oracle._generator_levels(dim_first, n)
+    _, diag_rest, _, _, pair_rest = oracle._generator_levels(dim_rest, n)
     diag_a = np.diagonal(a).real
-    diag_first = oracle.diagonal_generator_values(dim_first, levels_first)
-    diag_rest = oracle.diagonal_generator_values(dim_rest, levels_rest)
     scale = dim_first * dim_rest / 4.0
     m, j = oracle._pair_indices(n)
     return BlochDecomposition(
@@ -264,8 +263,8 @@ def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
         s_diagonal=(dim_rest / 2.0) * (diag_rest @ diag_a),
         t_first=scale * (diag_first * diag_a),
         t_rest=diag_rest,
-        pair_first=oracle._pair_position(dim_first, levels_first[m], levels_first[j]),
-        pair_rest=oracle._pair_position(dim_rest, levels_rest[m], levels_rest[j]),
+        pair_first=pair_first,
+        pair_rest=pair_rest,
         pair_values=2.0 * scale * a[m, j],
     )
 

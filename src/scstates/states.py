@@ -97,23 +97,48 @@ def _validate(a) -> tuple:
             violation=herm_defect,
         )
     h = (a + adjoint) / 2.0
+    _require_unit_trace(float(np.trace(h).real))
+    spectrum = _spectrum(h)
+    _require_psd(float(spectrum[0][0]))  # eigh's eigenvalues ascend
+    return h, spectrum
 
-    trace_defect = float(abs(np.trace(h).real - 1.0))
+
+def _require_unit_trace(trace: float) -> None:
+    trace_defect = abs(trace - 1.0)
     if trace_defect > DEFAULT_TOL:
         raise NotUnitTraceError(
             f"trace differs from 1 by {trace_defect:.3e} (tolerance {DEFAULT_TOL:.1e})",
             violation=trace_defect,
         )
 
-    spectrum = _spectrum(h)
-    eigmin = float(spectrum[0][0])  # eigh's eigenvalues ascend
+
+def _require_psd(eigmin: float) -> None:
     if eigmin < -DEFAULT_TOL:
         raise NotPSDError(
             f"matrix is not positive semidefinite: min eigenvalue {eigmin:.3e} "
             f"below -{DEFAULT_TOL:.1e}",
-            violation=float(-eigmin),
+            violation=-eigmin,
         )
-    return h, spectrum
+
+
+def validate_diagonal(d) -> np.ndarray:
+    """Validate the diagonal coefficient matrix diag(d) without building it.
+
+    The checks of :func:`validate_coeff_matrix`, with its exceptions and
+    messages: finite entries (``ValueError``), trace within
+    ``DEFAULT_TOL`` of 1 (:class:`NotUnitTraceError`), and no eigenvalue,
+    which here is an entry of d, below -``DEFAULT_TOL``
+    (:class:`NotPSDError`); a diagonal matrix is Hermitian.  Returns d as
+    a float vector.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1 or not d.size:
+        raise ValueError(f"diagonal must be a nonempty vector, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError("coefficient matrix contains non-finite entries")
+    _require_unit_trace(float(d.sum()))
+    _require_psd(float(d.min()))
+    return d
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,12 +14,13 @@ The witness is also checked on random product pure states, where Tr[W sigma]
 is lowest over the fully separable states (``witness_residuals``).
 """
 
+import functools
 from functools import cached_property
 
 import numpy as np
 
 from . import measures, oracle, separability, slocc
-from .states import SCState, random_pure_sc_state, random_sc_state
+from .states import SCState, random_pure_sc_state, random_sc_state, validate_diagonal
 
 #: Checks compared at a looser tolerance than the rest of the suite
 #: (logarithms amplify eigenvalue dust near the support boundary).
@@ -32,37 +33,56 @@ def _all_proper_subsets(parties: int):
         yield [p for p in full if mask & (1 << (p - 1))]
 
 
+@functools.cache
+def _first_party_subsets(parties: int) -> tuple:
+    """() and then the 2^(k-1) - 1 proper subsets holding party 1, (1,) first,
+    in the order :func:`_all_proper_subsets` yields them; one tuple per k."""
+    rest = range(2, parties + 1)
+    masks = range(2 ** (parties - 1) - 1)  # of parties 2..k; the last, all of them, is left out
+    return ((),) + tuple((1,) + tuple(p for p in rest if mask >> (p - 2) & 1) for mask in masks)
+
+
 class _DenseViews:
     """The dense rho of one state and the Jacobi spectra several checks read,
     each built on first use.
 
-    ``state_residuals`` hands one to all its checks, so rho is built once,
-    and rho and all its partial transposes over subsets holding party 1
-    are diagonalised by one ``oracle.transpose_spectra`` call.  A check
-    called on its own makes its own and pays for that whole stack, also
-    where it reads one row: rho's for the state spectrum and the relative
-    entropy, rho^{T_1}'s for the negativity.  Nothing here outlives the
-    call that made it.
+    ``state_residuals`` hands one made with ``shared=True`` to all its
+    checks, so rho is built once, and rho and all its partial transposes
+    over subsets holding party 1 (:func:`_first_party_subsets`, made once
+    per k) are diagonalised by one ``oracle.transpose_spectra`` call;
+    every spectrum a check reads is a row of that stack.  A check called
+    on its own makes its own, which diagonalises only the row the check
+    reads: rho for the state spectrum and the relative entropy, rho^{T_1}
+    for the negativity; the PT-spectrum check reads the whole stack either
+    way.  Nothing here outlives the call that made it.
     """
 
-    def __init__(self, state: SCState):
+    def __init__(self, state: SCState, *, shared: bool = False):
         self.state = state
+        self.shared = shared
 
     @cached_property
     def rho(self) -> np.ndarray:
         return oracle.dense_from_sc(self.state)
 
+    def _spectra(self, subsets) -> np.ndarray:
+        dims = [self.state.dim] * self.state.parties
+        return oracle.transpose_spectra(self.rho, subsets, dims)
+
     @cached_property
     def spectra(self) -> np.ndarray:
         """Jacobi eigenvalues, ascending: row 0 of rho (the empty subset), then
         of rho^{T_S} for each proper subset S holding party 1, [1] first."""
-        k = self.state.parties
-        subsets = [[]] + [s for s in _all_proper_subsets(k) if s[0] == 1]
-        return oracle.transpose_spectra(self.rho, subsets, [self.state.dim] * k)
+        return self._spectra(_first_party_subsets(self.state.parties))
 
-    @property
+    @cached_property
     def rho_values(self) -> np.ndarray:
-        return self.spectra[0]
+        return self.spectra[0] if self.shared else self._spectra([()])[0]
+
+    @cached_property
+    def pt1_values(self) -> np.ndarray:
+        """The spectrum of rho^{T_1}."""
+        return self.spectra[1] if self.shared else self._spectra([(1,)])[0]
 
     @property
     def pt_values(self) -> np.ndarray:
@@ -99,16 +119,28 @@ def negativity_residual(state: SCState, *, dense=None) -> float:
     spectrum.
     """
     dense = dense or _DenseViews(state)
-    value = 0.5 * (float(np.abs(dense.pt_values[0]).sum()) - 1.0)  # rho^{T_1}
+    value = 0.5 * (float(np.abs(dense.pt1_values).sum()) - 1.0)
     return abs(value - measures.negativity(state))
 
 
 def relative_entropy_residual(state: SCState, *, dense=None) -> float:
-    """N x N relative-entropy shortcut vs the dense two-matrix computation, in bits."""
+    """N x N relative-entropy shortcut vs the dense two-matrix computation, in bits.
+
+    The dense sigma holds ``measures.optimal_separable(state).diag`` at the
+    repeated indices |m...m> and zeros elsewhere, as ``dense_from_sc``
+    would build it from the validated state.  It is written directly:
+    ``states.validate_diagonal`` first checks the diagonal as
+    ``new_sc_state`` checks a coefficient matrix (finite, trace within
+    ``DEFAULT_TOL`` of 1, no entry below -``DEFAULT_TOL``, with the same
+    exceptions), so no N x N state is validated or diagonalised again.
+    """
     dense = dense or _DenseViews(state)
-    sigma_state = measures.optimal_separable(state).as_sc_state(state.parties)
-    sigma = oracle.dense_from_sc(sigma_state)
-    value = oracle.relative_entropy_dense(dense.rho, sigma, rho_values=dense.rho_values)
+    diag = validate_diagonal(measures.optimal_separable(state).diag)
+    rho = dense.rho
+    sigma = np.zeros_like(rho)
+    at = oracle.repeated_basis_index(np.arange(state.dim), state.parties, state.dim)
+    sigma[at, at] = diag
+    value = oracle.relative_entropy_dense(rho, sigma, rho_values=dense.rho_values)
     return abs(value - measures.relative_entropy(state))
 
 
@@ -127,11 +159,18 @@ def random_product_mixture(parties: int, dim: int, rng, samples: int):
     Returns unit local factors of shape (samples, parties, dim); sample s
     is the product vector local[s, 0] (x) ... (x) local[s, parties - 1],
     which is never built.  The real and imaginary parts come from one
-    ``rng.standard_normal((samples, parties, 2, dim))`` call.
+    ``rng.standard_normal((samples, parties, 2, dim))`` call and are
+    written, times the reciprocal norm, straight into the factors' real
+    and imaginary parts: the bits numpy's complex division of the factor
+    by its real norm gives, without the complex temporaries.
     """
     parts = rng.standard_normal((samples, parties, 2, dim))
-    local = parts[..., 0, :] + 1j * parts[..., 1, :]
-    return local / np.sqrt((parts**2).sum(axis=(-2, -1)))[..., None]
+    norms = np.sqrt(np.square(parts).reshape(samples, parties, 2 * dim).sum(axis=-1))
+    scale = (1.0 / norms)[..., None]
+    local = np.empty((samples, parties, dim), dtype=complex)
+    np.multiply(parts[..., 0, :], scale, out=local.real)
+    np.multiply(parts[..., 1, :], scale, out=local.imag)
+    return local
 
 
 #: Bytes of product-vector entries one block of samples may hold in
@@ -159,9 +198,9 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dens
     w = separability.build_witness(state)
     target = -float(sum(abs(state.a[m, j]) for m, j in w.source_pairs))
     closed = separability.witness_expectation(w, state)
-    rows = np.array([r for r, _, _ in w.terms], dtype=int)
-    cols = np.array([c for _, c, _ in w.terms], dtype=int)
-    values = np.array([v for _, _, v in w.terms], dtype=complex)
+    rows, cols, values = zip(*w.terms) if w.terms else ((), (), ())
+    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+    values = np.array(values, dtype=complex)
     rho = (dense or _DenseViews(state)).rho
     on_rho = float((values * rho[cols, rows]).sum().real)
     residual = max(abs(closed - target), abs(on_rho - target))
@@ -191,7 +230,7 @@ def bloch_coefficients(b: separability.BlochDecomposition):
     """The dense (r, s, t) of a Bloch decomposition, zeros included.
 
     r has M^2 - 1 entries, s R^2 - 1 and t is (M^2 - 1) x (R^2 - 1), so this
-    is for the oracle checks and tests only.
+    is for tests only; the Bloch check reads the stored form.
     """
     m, r_dim = b.dim_first, b.dim_rest
     r = np.zeros(m * m - 1)
@@ -200,8 +239,8 @@ def bloch_coefficients(b: separability.BlochDecomposition):
     r[: m - 1] = b.r_diagonal
     s[: r_dim - 1] = b.s_diagonal
     t[: m - 1, : r_dim - 1] = b.t_first @ b.t_rest.T
-    anti_first = b.pair_first + oracle._pair_indices(m)[0].size
-    anti_rest = b.pair_rest + oracle._pair_indices(r_dim)[0].size
+    anti_first = b.pair_first + m * (m - 1) // 2
+    anti_rest = b.pair_rest + r_dim * (r_dim - 1) // 2
     t[b.pair_first, b.pair_rest] = b.pair_values.real
     t[b.pair_first, anti_rest] = -b.pair_values.imag
     t[anti_first, b.pair_rest] = -b.pair_values.imag
@@ -209,22 +248,43 @@ def bloch_coefficients(b: separability.BlochDecomposition):
     return r, s, t
 
 
-def _dense_from_bloch(b: separability.BlochDecomposition) -> np.ndarray:
-    """The density matrix rebuilt from its Bloch expansion.
+def _bloch_entries(b: separability.BlochDecomposition) -> tuple:
+    """(keys, values): the density matrix rebuilt from its Bloch expansion, by
+    the flat row-major positions where the expansion can be nonzero.
 
     rho = (1/(M R)) sum_ij c_ij g_i x h_j with g_0 = I_M, h_0 = I_R and
-    c = [[1, s], [r, t]] from :func:`bloch_coefficients`.  The rest side's
-    sums B_i = sum_j c_ij h_j come first, then rho = sum_i g_i x B_i over
-    the first side, both through ``oracle.generator_combination``, so no
-    array is larger than rho.
+    c = [[1, s], [r, t]] as :func:`bloch_coefficients` expands it.  The
+    stored form fills two kinds of terms:
+    - diagonal generators on both sides, so all M R diagonal entries,
+      (1 + r.g(a) + s.h(b) + g(a)^T t_first t_rest^T h(b))/(M R) at
+      (a, b), with g(a) and h(b) the columns of the diagonal-generator
+      tables ``oracle.generator_combination`` reads;
+    - per pair, the symmetric and antisymmetric generators of its stored
+      slots, of (m_A, n_A) and of (m_B, n_B): 4 off-diagonal entries, the
+      rest side's sums B_i = sum_j c_ij h_j first and then sum_i g_i x B_i,
+      each combined by ``oracle._pair_entries``, the sign convention of
+      ``generator_combination``.
+    Every other entry of the expansion is zero by the format, so these
+    M R + 4 N(N - 1)/2 entries are all of it.
     """
     m, r_dim = b.dim_first, b.dim_rest
-    r, s, t = bloch_coefficients(b)
-    rest = oracle.generator_combination(np.vstack([s, t]), r_dim)  # B_i at (i, b, d)
-    rest[:, np.arange(r_dim), np.arange(r_dim)] += np.concatenate([[1.0], r])[:, None]
-    rec = oracle.generator_combination(rest[1:].transpose(1, 2, 0), m)  # (b, d, a, c)
-    rec[..., np.arange(m), np.arange(m)] += rest[0][..., None]
-    return rec.transpose(2, 0, 3, 1).reshape(m * r_dim, m * r_dim) / (m * r_dim)
+    n = m * r_dim
+    _, on_first, first_j, first_k, _ = oracle._generator_levels(m, m)
+    _, on_rest, rest_j, rest_k, _ = oracle._generator_levels(r_dim, r_dim)
+    diagonal = (b.r_diagonal @ on_first)[:, None] + (b.s_diagonal @ on_rest)[None, :]
+    diagonal += (on_first.T @ b.t_first) @ (on_rest.T @ b.t_rest).T
+
+    # B of each pair's symmetric and antisymmetric first-side rows, at
+    # (m_B, n_B) and (n_B, m_B); then the first side at (m_A, n_A) and (n_A, m_A)
+    v = b.pair_values
+    rest = oracle._pair_entries(np.array([v.real, -v.imag]), np.array([-v.imag, -v.real]))
+    upper, lower = oracle._pair_entries(*np.array(rest).swapaxes(0, 1))
+    slot_first, slot_rest = b.pair_first - (m - 1), b.pair_rest - (r_dim - 1)
+    ma, na = first_j[slot_first] * r_dim, first_k[slot_first] * r_dim
+    mb, nb = rest_j[slot_rest], rest_k[slot_rest]
+    block = np.array([ma + mb, ma + nb, na + mb, na + nb])  # rows of the pair's 4 x 4 block
+    keys = np.concatenate([np.arange(0, n * n, n + 1), (block * n + block[::-1]).ravel()])
+    return keys, np.concatenate([(1.0 + diagonal).ravel(), *upper, *lower]) / n
 
 
 def bloch_residuals(
@@ -232,25 +292,37 @@ def bloch_residuals(
 ) -> float:
     """Closed-form Bloch decomposition vs the dense state, across bipartitions.
 
-    Rebuilds the dense state from the closed-form expansion with the
-    oracle's generators and compares it with ``oracle.dense_from_sc`` (the
-    generators are orthogonal, so the two agree exactly when every stored
-    coefficient is right; the format has no slot for the structural zeros),
-    and demands the pair-value separability verdict match the off-diagonal
-    test.  Disagreement on the verdict returns infinity; otherwise the
-    worst numeric residual.  No array is larger than the dense state, so
-    its N^k size guard is the only one.
+    Rebuilds the state from the closed-form expansion with the oracle's
+    generator tables and sign convention (:func:`_bloch_entries`) and
+    compares it with ``oracle.dense_from_sc``: max |rebuilt - rho| over
+    the whole matrix, read as the rebuilt entries against rho there and
+    every other nonzero of rho in full (the generators are orthogonal, so
+    the two agree exactly when every stored coefficient is right; the
+    format has no slot for the structural zeros).  It also demands the
+    pair-value separability verdict match the off-diagonal test.
+    Disagreement on the verdict, or two pairs stored on one position,
+    returns infinity; otherwise the worst numeric residual.  Beyond the
+    dense state, which its N^k size guard bounds, the largest array is one
+    flag per entry of it.
     """
     if splits is None:
         splits = _default_splits(state.parties)
     sep = separability.is_fully_separable(state, tol)
-    rho = (dense or _DenseViews(state)).rho
+    rho = (dense or _DenseViews(state)).rho.ravel()
+    on_rho = np.flatnonzero(rho != 0)
     worst = 0.0
     for split in splits:
         b = separability.bloch_decomposition(state, split)
         if separability.check_corollary2(b, tol) != sep:
             return float("inf")
-        worst = max(worst, float(np.abs(_dense_from_bloch(b) - rho).max()))
+        keys, values = _bloch_entries(b)
+        rebuilt = np.zeros(rho.size, dtype=bool)
+        rebuilt[keys] = True
+        if np.count_nonzero(rebuilt) < keys.size:
+            return float("inf")
+        outside = rho[on_rho[~rebuilt[on_rho]]]
+        worst = max(worst, float(np.abs(values - rho[keys]).max()))
+        worst = max(worst, float(np.abs(outside).max(initial=0.0)))
     return worst
 
 
@@ -320,7 +392,7 @@ def state_residuals(
     module reaches every caller.  ``rng`` is drawn from only by the
     witness's separable samples.
     """
-    dense = _DenseViews(state)
+    dense = _DenseViews(state, shared=True)
     bloch = bloch_residuals(state, splits, tol=tol, dense=dense)
     w_res, w_sep = witness_residuals(state, rng, separable_samples, dense=dense)
     residuals = {

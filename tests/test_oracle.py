@@ -787,3 +787,62 @@ def test_trace_norm_keeps_small_singular_values():
     m = u @ np.diag(sing) @ v[:4]
     assert trace_norm(m) == pytest.approx(sing.sum(), abs=1e-14)
     assert trace_norm(m.conj().T) == pytest.approx(sing.sum(), abs=1e-14)
+
+
+def test_transpose_spectra_keep_subsets_and_positions_per_pattern():
+    # two states of one shape and rank share the validated subsets and the
+    # transposed positions; both are read-only and each state still gets
+    # its own spectra
+    subsets = [[]] + list(verify._all_proper_subsets(3))
+    first, second = (dense_from_sc(random_sc_state(3, 3, seed)) for seed in (1820, 1821))
+    oracle._valid_subsets.cache_clear()
+    oracle._transposed_keys.cache_clear()
+    rows = [transpose_spectra(m, subsets, [3, 3, 3]) for m in (first, second)]
+    for cache in (oracle._valid_subsets, oracle._transposed_keys):
+        info = cache.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 64)
+    for m, spectra in zip((first, second), rows):
+        for subset, row in zip(subsets[1:], spectra[1:]):
+            dense = partial_transpose(m, subset, [3, 3, 3])
+            assert np.array_equal(row, hermitian_eigen(dense, vectors=False))
+    _, keys, _ = oracle._hermitian_entries(first)
+    valid = oracle._valid_subsets(tuple(map(tuple, subsets)), 3)
+    rule = oracle._partial_transpose_keys
+    moved, order = oracle._transposed_keys(keys.tobytes(), valid, (3, 3, 3), rule)
+    assert not moved.flags.writeable and not order.flags.writeable
+    assert valid[0] == () and valid[1] == (1,)
+
+
+def test_transposed_positions_keep_the_last_64_patterns():
+    oracle._transposed_keys.cache_clear()
+    rule = oracle._partial_transpose_keys
+    for key in range(70):
+        oracle._transposed_keys(np.array([key]).tobytes(), ((1,),), (2, 2), rule)
+    assert oracle._transposed_keys.cache_info().currsize == 64
+
+
+def test_generator_levels_are_kept_read_only_per_shape_and_bounded():
+    oracle._kept_generator_levels.cache_clear()
+    levels = oracle._generator_levels(9, 3)  # the levels 0, 4, 8 of SU(9)
+    assert oracle._generator_levels(9, 3) is levels
+    assert oracle._kept_generator_levels.cache_info().maxsize == 64
+    assert all(not array.flags.writeable for array in levels)
+    at, values, first, second, slot = levels
+    assert at.tolist() == [0, 4, 8]
+    assert np.array_equal(values, oracle.diagonal_generator_values(9, at))
+    assert (first.tolist(), second.tolist()) == ([0, 0, 4], [4, 8, 8])
+    assert np.array_equal(slot, oracle._pair_position(9, first, second))
+    # a table of more than 2^12 entries is built per call and not kept
+    size = oracle._kept_generator_levels.cache_info().currsize
+    big = oracle._generator_levels(65, 65)
+    assert oracle._kept_generator_levels.cache_info().currsize == size
+    assert big is not oracle._generator_levels(65, 65)
+    assert all(not array.flags.writeable for array in big)
+    assert np.array_equal(big[1], oracle.diagonal_generator_values(65, np.arange(65)))
+
+
+def test_trace_norm_names_a_non_finite_entry_found_by_its_flags():
+    m = np.zeros((3, 5), dtype=complex)
+    m[0, 0], m[2, 3] = 1.0, complex(0.0, np.nan)
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(2, 3\)"):
+        trace_norm(m)

@@ -7,6 +7,7 @@ generator in the same state and find the same minimum.
 """
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,14 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scstates import (
+    NotPSDError,
+    NotUnitTraceError,
     SizeGuardError,
     build_witness,
+    cli,
+    measures,
     new_sc_state,
     oracle,
     random_sc_state,
     separability,
     verify,
 )
+from scstates.oracle import su_generators
 
 
 def _reference_min(w, parties, dim, rng, samples):
@@ -264,3 +270,174 @@ def test_size_guard_refuses_before_allocating(monkeypatch, refused):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "check, subset",
+    [
+        (verify.state_spectrum_residual, ()),
+        (verify.relative_entropy_residual, ()),
+        (verify.negativity_residual, (1,)),
+    ],
+    ids=["state_spectrum", "relative_entropy", "negativity"],
+)
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (6, 2)])
+def test_a_check_called_alone_diagonalises_only_the_row_it_reads(
+    monkeypatch, check, subset, parties, dim
+):
+    spectra, calls = oracle.transpose_spectra, []
+
+    def counted_spectra(m, subsets, dims):
+        calls.append([tuple(s) for s in subsets])
+        return spectra(m, subsets, dims)
+
+    monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
+    state = random_sc_state(parties, dim, 19)
+    residual = check(state)
+    assert calls == [[subset]]
+    assert residual <= verify.RELATIVE_ENTROPY_TOL_FLOOR
+    # the row is the one the shared stack holds
+    assert residual == check(state, dense=verify._DenseViews(state, shared=True))
+
+
+def test_first_party_subsets_are_made_once_per_party_count():
+    for parties in range(2, 8):
+        subsets = verify._first_party_subsets(parties)
+        assert verify._first_party_subsets(parties) is subsets
+        expected = [()] + [tuple(s) for s in verify._all_proper_subsets(parties) if s[0] == 1]
+        assert list(subsets) == expected
+
+
+@pytest.mark.parametrize(
+    "diag, error",
+    [([1.1, 0.2, -0.3], NotPSDError), ([0.5, 0.3, 0.2 + 1e-6], NotUnitTraceError)],
+    ids=["negative-entry", "trace-off"],
+)
+def test_relative_entropy_residual_validates_the_separable_state(monkeypatch, diag, error):
+    state = random_sc_state(3, 3, 21)
+    for bad in (diag, np.array(diag)):
+        monkeypatch.setattr(
+            measures, "optimal_separable", lambda s, bad=bad: measures.OptimalSeparable(diag=bad)
+        )
+        with pytest.raises(error) as raised:
+            verify.relative_entropy_residual(state)
+        # the exception new_sc_state raises on the same diagonal
+        with pytest.raises(error, match=re.escape(str(raised.value)) + "$"):
+            new_sc_state(3, 3, np.diag(bad))
+
+
+def test_relative_entropy_residual_writes_sigma_where_dense_from_sc_would(monkeypatch):
+    state = random_sc_state(3, 3, 22)
+    seen = []
+
+    def recording(rho, sigma, **kwargs):
+        seen.append(sigma)
+        return oracle_relative_entropy(rho, sigma, **kwargs)
+
+    oracle_relative_entropy = oracle.relative_entropy_dense
+    monkeypatch.setattr(oracle, "relative_entropy_dense", recording)
+    verify.relative_entropy_residual(state)
+    sigma_state = measures.optimal_separable(state).as_sc_state(3)
+    assert seen[0].dtype == complex
+    assert np.array_equal(seen[0], oracle.dense_from_sc(sigma_state))
+
+
+def _clear_oracle_caches():
+    for module in (oracle, verify):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_cached_shape_tables_leave_every_verify_op_unchanged(capsys, tmp_path):
+    # the oracle-verify configurations and analyze --oracle splits of the
+    # verify benchmark, each run with every cache cleared and then warm
+    argvs = [
+        ["oracle-verify", "--k", str(k), "--N", str(n), "--samples", "2", "--seed", "1201"]
+        for k, n in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+    ]
+    for k, n, split in [(4, 3, 1), (4, 3, 2), (3, 4, 1), (6, 2, 3), (5, 2, 1), (5, 2, 2)]:
+        assert cli.main(["random", "--k", str(k), "--N", str(n), "--seed", "1201",
+                         "--output-dir", str(tmp_path)]) == 0
+        path = tmp_path / f"sc-k{k}-N{n}-seed1201-000.json"
+        argvs.append(["analyze", "--oracle", "--split", str(split), str(path)])
+    capsys.readouterr()
+    for argv in argvs:
+        outputs = []
+        for clear in (True, False, False):
+            if clear:
+                _clear_oracle_caches()
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2], argv
+
+
+def _reference_rebuild(b):
+    """The Bloch expansion summed densely over every generator pair."""
+    m, r_dim = b.dim_first, b.dim_rest
+    r, s, t = verify.bloch_coefficients(b)
+    gm, gr = su_generators(m), su_generators(r_dim)
+    rec = np.einsum("ac,bd->abcd", np.eye(m, dtype=complex), np.eye(r_dim))
+    rec += np.einsum("i,iac,bd->abcd", r, gm, np.eye(r_dim))
+    rec += np.einsum("j,ac,jbd->abcd", s, np.eye(m), gr)
+    rec += np.einsum("ij,iac,jbd->abcd", t, gm, gr)
+    return rec.reshape(m * r_dim, m * r_dim) / (m * r_dim)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_bloch_entries_are_the_whole_expansion(parties, dim):
+    state = random_sc_state(parties, dim, 23)
+    for split in range(1, parties):
+        b = separability.bloch_decomposition(state, split)
+        keys, values = verify._bloch_entries(b)
+        rec = _reference_rebuild(b).ravel()
+        assert np.abs(values - rec[keys]).max() <= 1e-15
+        outside = np.ones(rec.size, dtype=bool)
+        outside[keys] = False
+        assert np.abs(rec[outside]).max(initial=0.0) <= 1e-15
+        assert keys.size == np.unique(keys).size == b.dim_first * b.dim_rest + 2 * dim * (dim - 1)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [lambda slot: np.roll(slot, 1), lambda slot: slot + np.arange(slot.size) % 2],
+    ids=["swapped", "shifted"],
+)
+def test_bloch_residuals_catch_a_moved_pair_slot(monkeypatch, move):
+    state = random_sc_state(3, 3, 24)
+    original = separability.bloch_decomposition
+
+    def moved(state, split=1):
+        b = original(state, split)
+        return dataclasses.replace(b, pair_first=move(b.pair_first))
+
+    monkeypatch.setattr(separability, "bloch_decomposition", moved)
+    residual = verify.bloch_residuals(state, [1, 2])
+    assert np.isfinite(residual) and residual > 1e-3
+
+
+def test_bloch_residuals_catch_two_pairs_on_one_slot(monkeypatch):
+    state = random_sc_state(3, 3, 25)
+    original = separability.bloch_decomposition
+
+    def collided(state, split=1):
+        b = original(state, split)
+        return dataclasses.replace(b, pair_first=np.full_like(b.pair_first, b.pair_first[0]),
+                                   pair_rest=np.full_like(b.pair_rest, b.pair_rest[0]))
+
+    monkeypatch.setattr(separability, "bloch_decomposition", collided)
+    assert verify.bloch_residuals(state, [1]) == float("inf")
+
+
+def test_bloch_residuals_catch_a_nonzero_of_rho_outside_the_expansion(monkeypatch):
+    state = random_sc_state(3, 3, 26)
+    build = oracle.dense_from_sc
+
+    def extra(s):
+        rho = build(s)
+        rho[1, 5] = rho[5, 1] = 1e-6  # |001>, |012>: no pair and no diagonal position
+        return rho
+
+    assert verify.bloch_residuals(state, [1, 2]) <= 1e-12
+    monkeypatch.setattr(oracle, "dense_from_sc", extra)
+    assert verify.bloch_residuals(state, [1, 2]) >= 1e-6
