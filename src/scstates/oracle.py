@@ -1,14 +1,18 @@
 """Dense brute-force linear algebra used to cross-check every closed form.
 
 Everything here takes explicit N^k x N^k arrays and deliberately avoids
-LAPACK-backed decompositions: the eigensolver is a hand-written cyclic
-complex Jacobi, so results verified against this module come from a code
-path independent of the closed-form implementations (which use
-``numpy.linalg`` on the small N x N coefficient matrix where they need
-eigenvalues at all).  The eigensolver reads only a matrix's nonzero
-entries and rotates each connected component of their pattern as a
-compact block; :func:`transpose_spectra` diagonalises many partial
-transposes of one matrix that way without building any of them.
+LAPACK-backed decompositions: results verified against this module come
+from a code path independent of the closed-form implementations (which
+use ``numpy.linalg`` on the small N x N coefficient matrix where they need
+eigenvalues at all).  Its one rotation loop is a hand-written cyclic
+complex Jacobi (:func:`_jacobi`) that returns eigenvalues only.  It reads
+only a matrix's nonzero entries and rotates each connected component of
+their pattern as a compact block: :func:`hermitian_eigen` diagonalises one
+matrix that way, :func:`transpose_spectra` many partial transposes of one
+matrix without building any of them, and :func:`trace_norm` the Hermitian
+dilation of a rectangular matrix.  The relative entropy is taken to a
+diagonal sigma, whose eigenvectors are the basis vectors, so it needs no
+eigenvectors either.
 
 Multi-index convention, fixed project-wide: basis states of k parties are
 flattened row-major with party 1 most significant, i.e. ``|i_1 ... i_k>``
@@ -162,13 +166,8 @@ def _rotate(x: np.ndarray, p: int, q: int, c, k) -> None:
 
 
 def _rotate_pair(x: np.ndarray, p: int, q: int) -> None:
-    """Zero entry (p, q) of the Hermitian block on top of ``x``, or of each
-    such block in a stack ``x``, by one Jacobi rotation.
-
-    The rotation acts on rows p and q of the block and on columns p and q
-    of all of ``x``, so eigenvector rows stacked under the block are
-    accumulated as the column rotations of the full sweep would.
-    """
+    """Zero entry (p, q) of the Hermitian block ``x``, or of each block in a
+    stack ``x``, by one Jacobi rotation of its rows and columns p and q."""
     at = (...,) * (x.ndim - 2)  # a single block is indexed to scalars
     pp, qq, pq = at + (p, p), at + (q, q), at + (p, q)
     c, s, phase = _jacobi_rotation(x[pp].real, x[qq].real, x[pq])
@@ -252,51 +251,47 @@ def _components(src, dst) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _block_layout(n: int, count: int, vectors: bool, pattern: bytes) -> tuple:
+def _block_layout(n: int, count: int, pattern: bytes) -> tuple:
     """Where :func:`_jacobi` puts the entries of ``count`` Hermitian n x n
     matrices whose nonzeros sit at the row-major positions ``pattern``, the
     bytes of an int array (count, E) with ascending rows.
 
     Vertex i n + r is row r of matrix i.  All blocks live in one flat
-    buffer, ``np.concatenate([entries, [0, 1]]).take(index)`` for the M E
+    buffer, ``np.concatenate([entries, [0]]).take(index)`` for the M E
     entries in ``pattern`` order.  Returns (index, stacks, upper_at,
     owner, diagonal, vertex, within, members):
     - ``stacks``, per block size c, ascending: (start, stop, shape,
-      owners, pairs, members), the buffer slice of the stack and its shape
-      (blocks, c, c), or (blocks, 2c, c) with c eigenvector rows under
-      each block for ``vectors``, starting as the identity; the matrix of
-      each block; the pairs (p, q), p < q, in row-major order; and each
-      block's vertices, as from :func:`_components`;
+      owners, pairs), the buffer slice of the stack and its shape
+      (blocks, c, c); the matrix of each block; and the pairs (p, q),
+      p < q, in row-major order;
     - ``upper_at``, the buffer positions of the blocks' entries (p, q),
       p < q, and ``owner``, the matrix of each of their float parts;
     - ``diagonal``, the entries on a diagonal, and ``vertex``, theirs;
     - ``within``, the buffer positions of the blocks' diagonals, and
-      ``members``, their vertices.
+      ``members``, their vertices, as from :func:`_components`.
     The layout depends only on the pattern, which many matrices share (all
     random states of one shape and rank, and their partial transposes), so
     the last 64 are kept.  Its arrays are read-only.
     """
     keys = np.frombuffer(pattern, dtype=int).reshape(count, -1)
     # matrix i's entry (r, c) sits at i n^2 + r n + c, so these ascend
-    flat = (keys + np.arange(0, count * n * n, n * n)[:, None]).ravel()
+    flat = (keys + (np.arange(count) * (n * n))[:, None]).ravel()
     vertex, col = np.divmod(flat, n)
     other = vertex - vertex % n + col  # the vertex of the entry's column
     is_upper = vertex < other
-    zero, one = len(flat), len(flat) + 1  # the places of the 0 and the 1
+    zero = len(flat)  # the place of the 0
     stacks, parts, start = [], [], 0
     for members in _components(vertex[is_upper], other[is_upper]):
         c = members.shape[1]
         query = (members * n)[:, :, None] + (members % n)[:, None, :]
         at = flat.searchsorted(query)
         block = np.where(flat.take(at, mode="clip") == query, at, zero)
-        if vectors:
-            eye = np.broadcast_to(np.where(np.eye(c, dtype=bool), one, zero), block.shape)
-            block = np.concatenate([block, eye], axis=1)
-        base = start + np.arange(0, block.size, block[0].size)[:, None]
+        base = start + np.arange(0, block.size, c * c)[:, None]
         j, k = _pair_indices(c)
         owners = members[:, 0] // n
+        owners.setflags(write=False)
         pairs = tuple(zip(j.tolist(), k.tolist()))
-        stacks.append((start, start + block.size, block.shape, owners, pairs, members))
+        stacks.append((start, start + block.size, block.shape, owners, pairs))
         diagonals = base + np.arange(0, c * c, c + 1)
         parts.append((block, base + (j * c + k), np.repeat(owners, 2 * j.size), diagonals, members))
         start += block.size
@@ -308,13 +303,10 @@ def _block_layout(n: int, count: int, vectors: bool, pattern: bytes) -> tuple:
     vertex = vertex[diagonal]
     for array in [index, upper_at, owner, diagonal, vertex, within, members]:
         array.setflags(write=False)
-    for *_, owners, _, block_members in stacks:
-        owners.setflags(write=False)
-        block_members.setflags(write=False)
     return index, tuple(stacks), upper_at, owner, diagonal, vertex, within, members
 
 
-def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False):
+def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Cyclic complex Jacobi on M Hermitian n x n matrices at once.
 
     Matrix i holds entries[i] at the ascending row-major positions keys[i]
@@ -332,15 +324,15 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
     A matrix has converged when its off-diagonal Frobenius norm is at most
     1e-12 times its norm; one still above after 100 sweeps raises
     :class:`EigenConvergenceError`.  Returns the ascending eigenvalues,
-    shape (M, n), and with ``vectors`` (M = 1) the matching eigenvector
-    columns.
+    shape (M, n).  This is the oracle's one rotation loop: eigenvalues,
+    partial-transpose spectra and trace norms all come from it.
     """
     count = len(keys)
     index, stacks, upper_at, owner, diagonal, vertex, within, members = _block_layout(
-        n, count, vectors, keys.tobytes()
+        n, count, keys.tobytes()
     )
     entries = entries.ravel()
-    buffer = np.concatenate([entries, [0.0, 1.0]]).take(index)
+    buffer = np.concatenate([entries, [0.0]]).take(index)
     blocks = [buffer[start:stop].reshape(shape) for start, stop, shape, *_ in stacks]
     norms = np.sqrt(np.add.reduce(np.square(entries.view(float)).reshape(count, -1), axis=1))
     conv_tol = 1e-12
@@ -357,7 +349,7 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
                 f"Jacobi sweeps did not converge: off-diagonal norm {off[above[0]]:.3e} "
                 f"above {conv_tol:.0e} * {norms[above[0]]:.3e} after 100 sweeps"
             )
-        for x, (*_, owners, pq, _) in zip(blocks, stacks):
+        for x, (*_, owners, pq) in zip(blocks, stacks):
             on = live[owners]
             if len(x) == 1:
                 block = x[0]
@@ -375,22 +367,13 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray, vectors: bool = False
     values[vertex] = entries[diagonal].real
     values[members] = buffer[within].real
     values = values.reshape(count, n)
-    if not vectors:
-        values.sort(axis=1, kind="stable")
-        return values
-    order = values[0].argsort(kind="stable")
-    column = np.empty(n, dtype=int)
-    column[order] = np.arange(n)  # eigenvector r goes to column column[r]
-    v = np.zeros((n, n), dtype=complex)
-    v[np.arange(n), column] = 1.0  # unit vectors, overwritten on every block
-    for x, (*_, block_members) in zip(blocks, stacks):
-        rows, columns = block_members[:, :, None], column[block_members][:, None, :]
-        v[rows, columns] = x[:, block_members.shape[1] :]
-    return values[:, order], v
+    values.sort(axis=1, kind="stable")
+    return values
 
 
-def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+def hermitian_eigen(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a Hermitian matrix by cyclic complex Jacobi
+    rotations.
 
     Sweeps zero out one off-diagonal entry at a time with a unitary 2x2
     rotation until the off-diagonal Frobenius norm falls below 1e-12
@@ -403,29 +386,18 @@ def hermitian_eigen(m: np.ndarray, *, vectors: bool = True):
     per connected component of that pattern (:func:`_jacobi`), visiting
     its pairs in row-major order and skipping a pair whose entry is
     exactly zero; this gives the bits of a row-major sweep over the whole
-    matrix, and no n x n working copy is made.  Where the blocks lie
-    depends only on the pattern, and is kept for the last 64 patterns
-    (:func:`_block_layout`).
+    matrix.  Where the blocks lie depends only on the pattern, and is kept
+    for the last 64 patterns (:func:`_block_layout`).  No n x n array is
+    allocated: the pattern scan's flags take at most 1 MiB per block of
+    rows.
 
     ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
     exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.  A
     non-finite entry raises ``ValueError`` naming the first one in
     row-major order, before any sweep.
-
-    Returns ``(values, vectors)`` with eigenvalues ascending and matching
-    eigenvector columns; reconstruction ``V diag(w) V^dag`` and column
-    orthonormality hold to well below 1e-9 for desk-scale matrices; the
-    eigenvector matrix is the only n x n array allocated.  With
-    ``vectors=False`` only the values are returned, bit-identical to the
-    first item of the full result, no eigenvector is accumulated and no
-    n x n array is allocated: the pattern scan's flags take at most 1 MiB
-    per block of rows.
     """
     n, keys, entries = _hermitian_entries(m)
-    if not vectors:
-        return _jacobi(n, keys[None, :], entries[None, :])[0]
-    values, v = _jacobi(n, keys[None, :], entries[None, :], vectors=True)
-    return values[0], v
+    return _jacobi(n, keys[None, :], entries[None, :])[0]
 
 
 def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarray:
@@ -447,13 +419,13 @@ def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
     subset, shape (len(subsets), N), row i for ``subsets[i]``.
 
     Row i is bit-identical to ``hermitian_eigen(partial_transpose(m,
-    subsets[i], dims), vectors=False)``, but no transpose is built: the
+    subsets[i], dims))``, but no transpose is built: the
     nonzeros of ``m`` are gathered, checked and symmetrised once (a partial
     transpose sends an entry and its mirror to an entry and its mirror, so
     this gives the bits of doing it on each transpose), their positions
     are mapped to each transpose's, and :func:`_jacobi` diagonalises all
     the transposes in one sweep loop.  An empty subset transposes no party:
-    its row is ``hermitian_eigen(m, vectors=False)``.  Other subsets must
+    its row is ``hermitian_eigen(m)``.  Other subsets must
     be proper, and errors are those of :func:`hermitian_eigen` and
     :func:`partial_transpose`.
 
@@ -522,41 +494,29 @@ def realign(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values, by one-sided (Hestenes) Jacobi rotations.
+    """Sum of singular values, from :func:`_jacobi` on the Hermitian dilation
+    H = [[0, m], [m^dag, 0]].
 
-    Works on the rows of the shorter side: each unitary 2x2 rotation mixes
-    two rows so that they become orthogonal, which leaves the singular
-    values unchanged.  Once every pair of rows is orthogonal to within
-    round-off, the singular values are the row norms.  No Gram matrix is
-    formed, so a small singular value keeps an absolute error of order
-    eps times the largest and nothing is cut off.
+    The eigenvalues of H are +-s_i for the singular values s_i of ``m``,
+    and |rows - columns| zeros, so the trace norm is half the sum of their
+    moduli.  H is written from the nonzeros of ``m`` alone, and no Gram
+    matrix is formed, so a small singular value keeps an absolute error of
+    order eps times the largest and nothing is cut off.  A non-finite
+    entry raises ``ValueError`` naming the first in row-major order,
+    before any sweep.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    _check_finite(m, *np.nonzero(m != 0))  # numpy scans the flags faster than complex m
-    a = m.copy() if m.shape[0] <= m.shape[1] else m.conj().T.copy()
-    rows = a.shape[0]
-    conv_tol = max(a.shape) * np.finfo(float).eps
-    for _ in range(100):
-        gram = a @ a.conj().T
-        sq = np.real(np.diagonal(gram))
-        off = np.abs(gram - np.diag(np.diagonal(gram)))
-        if (off <= conv_tol * np.sqrt(np.outer(sq, sq))).all():
-            return float(np.sqrt(sq).sum())
-        for p in range(rows - 1):
-            for q in range(p + 1, rows):
-                alpha = np.vdot(a[p], a[p]).real
-                beta = np.vdot(a[q], a[q]).real
-                b = np.vdot(a[q], a[p])
-                if abs(b) <= conv_tol * np.sqrt(alpha * beta):
-                    continue
-                # the rotation that zeroes entry (p, q) of a a^dag
-                c, s, phase = _jacobi_rotation(alpha, beta, b)
-                _rotate(a, p, q, c, np.array([[-s * phase], [s * np.conj(phase)]]))
-    raise EigenConvergenceError(
-        "one-sided Jacobi did not orthogonalise the rows in 100 sweeps"
-    )
+    rows, cols = np.nonzero(m != 0)  # numpy scans the flags faster than complex m
+    entries = _check_finite(m, rows, cols)
+    n, cols = sum(m.shape), cols + m.shape[0]
+    # H's entries (r, c) above the diagonal ascend already; their mirrors (c, r) are sorted
+    mirror = cols * n + rows
+    order = mirror.argsort()
+    keys = np.concatenate([rows * n + cols, mirror[order]])
+    values = _jacobi(n, keys[None, :], np.concatenate([entries, entries.conj()[order]])[None, :])
+    return 0.5 * float(np.abs(values).sum())
 
 
 def von_neumann_entropy(m: np.ndarray) -> float:
@@ -565,7 +525,7 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     Eigenvalues below -``DENSITY_TOL`` raise :class:`NotPSDError`, a trace
     off 1 by more than that raises ``ValueError``.
     """
-    return _spectrum_entropy(hermitian_eigen(m, vectors=False))
+    return _spectrum_entropy(hermitian_eigen(m))
 
 
 def _spectrum_entropy(vals: np.ndarray) -> float:
@@ -581,30 +541,29 @@ def _spectrum_entropy(vals: np.ndarray) -> float:
     return float(-(lam * np.log(lam)).sum() / np.log(2.0))
 
 
-def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray, *, rho_values=None) -> float:
-    """Relative entropy Tr[rho log2 rho - rho log2 sigma] from dense matrices.
+def relative_entropy_dense(rho: np.ndarray, sigma, *, rho_values=None) -> float:
+    """Relative entropy Tr[rho log2 rho - rho log2 sigma] of a dense rho to a
+    diagonal sigma, given as its length-n diagonal.
 
     The first term is -S(rho) as :func:`von_neumann_entropy` computes it
     (so rho must be a density matrix), from ``rho_values`` when the caller
-    already holds rho's Jacobi eigenvalues.  sigma is eigendecomposed with
-    the Jacobi solver, and its support is every eigenvalue above 1e-12
-    times the largest.  The overlaps <v_i|rho|v_i> with its eigenvectors
-    V are the column sums of conj(V_Z) * (rho_ZZ V_Z), one BLAS product on
-    the indices Z of rho's nonzero rows (a zero row of a Hermitian rho is
-    a zero column).  If rho has weight beyond 1e-9 outside sigma's
-    support the result is ``inf`` (the flagged value for a support
-    violation).
+    already holds rho's Jacobi eigenvalues.  sigma's eigenvectors are the
+    basis vectors, so the overlaps <i|rho|i> are rho's diagonal, and its
+    support is every entry above 1e-12 times the largest.  If rho has
+    weight beyond 1e-9 outside that support the result is ``inf`` (the
+    flagged value for a support violation).  No n x n array is built.
     """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (len(rho),) or not np.isfinite(sigma).all():
+        raise ValueError(
+            f"sigma must be a finite vector of length {len(rho)}, got shape {sigma.shape}"
+        )
     entropy = von_neumann_entropy(rho) if rho_values is None else _spectrum_entropy(rho_values)
-    vals_s, vecs_s = hermitian_eigen(sigma)
-    support = vals_s > 1e-12 * max(float(vals_s[-1]), 0.0)
-    nz = np.flatnonzero(rho.any(axis=1))
-    sub = vecs_s[nz]
-    overlaps = (sub.conj() * (rho[np.ix_(nz, nz)] @ sub)).sum(axis=0).real
-    leakage = float(np.trace(rho).real - overlaps[support].sum())
-    if leakage > 1e-9:
+    support = sigma > 1e-12 * sigma.max(initial=0.0)
+    overlaps = np.diagonal(rho).real[support]
+    if float(np.trace(rho).real - overlaps.sum()) > 1e-9:
         return float("inf")
-    tr_r_log_s = float((overlaps[support] * np.log(vals_s[support])).sum())
+    tr_r_log_s = float((overlaps * np.log(sigma[support])).sum())
     return -entropy - tr_r_log_s / float(np.log(2.0))
 
 

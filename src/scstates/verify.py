@@ -1,8 +1,8 @@
 """Cross-validation suite: closed forms vs the dense oracle.
 
 Each residual function recomputes one closed-form quantity by brute force
-on the explicit N^k x N^k matrices (dense construction + the internal
-Jacobi eigensolver, never the fast path) and returns the absolute
+on the explicit N^k x N^k matrices (dense construction + the oracle's
+Jacobi rotation loop, never the fast path) and returns the absolute
 disagreement.  ``state_residuals`` runs them all on one state (``analyze
 --oracle``), ``run_suite`` over random states (``oracle-verify``), and
 ``check_entries`` applies the one tolerance rule to either result.  Each
@@ -50,11 +50,13 @@ class _DenseViews:
     checks, so rho is built once, and rho and all its partial transposes
     over subsets holding party 1 (:func:`_first_party_subsets`, made once
     per k) are diagonalised by one ``oracle.transpose_spectra`` call;
-    every spectrum a check reads is a row of that stack.  A check called
-    on its own makes its own, which diagonalises only the row the check
-    reads: rho for the state spectrum and the relative entropy, rho^{T_1}
-    for the negativity; the PT-spectrum check reads the whole stack either
-    way.  Nothing here outlives the call that made it.
+    every spectrum a check reads is a row of that stack.  No other matrix
+    is diagonalised for its eigenvalues: the relative entropy's sigma is
+    diagonal, and the realignment check's trace norm is a singular-value
+    sum.  A check called on its own makes its own, which diagonalises only
+    the row the check reads: rho for the state spectrum and the relative
+    entropy, rho^{T_1} for the negativity; the PT-spectrum check reads the
+    whole stack either way.  Nothing here outlives the call that made it.
     """
 
     def __init__(self, state: SCState, *, shared: bool = False):
@@ -105,7 +107,9 @@ def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
 
 
 def realignment_residual(state: SCState, *, dense=None) -> float:
-    """Sum-of-moduli closed form vs trace norm of the realigned dense matrix."""
+    """Sum-of-moduli closed form vs trace norm of the realigned dense matrix,
+    which ``oracle.trace_norm`` reads off the Jacobi spectrum of its
+    Hermitian dilation."""
     dense = dense or _DenseViews(state)
     n, k = state.dim, state.parties
     r = oracle.realign(dense.rho, n, n ** (k - 1))
@@ -124,22 +128,23 @@ def negativity_residual(state: SCState, *, dense=None) -> float:
 
 
 def relative_entropy_residual(state: SCState, *, dense=None) -> float:
-    """N x N relative-entropy shortcut vs the dense two-matrix computation, in bits.
+    """N x N relative-entropy shortcut vs the dense computation, in bits.
 
-    The dense sigma holds ``measures.optimal_separable(state).diag`` at the
-    repeated indices |m...m> and zeros elsewhere, as ``dense_from_sc``
-    would build it from the validated state.  It is written directly:
-    ``states.validate_diagonal`` first checks the diagonal as
+    The closest separable sigma, ``measures.optimal_separable(state).diag``
+    at the repeated indices |m...m> and zeros elsewhere, is diagonal, so it
+    is handed to ``oracle.relative_entropy_dense`` as its length-N^k
+    diagonal, the one ``dense_from_sc`` would build from the validated
+    state.  ``states.validate_diagonal`` first checks it as
     ``new_sc_state`` checks a coefficient matrix (finite, trace within
     ``DEFAULT_TOL`` of 1, no entry below -``DEFAULT_TOL``, with the same
-    exceptions), so no N x N state is validated or diagonalised again.
+    exceptions), so no N x N state is validated or diagonalised again, and
+    sigma is never diagonalised: the overlaps are rho's diagonal.
     """
     dense = dense or _DenseViews(state)
     diag = validate_diagonal(measures.optimal_separable(state).diag)
     rho = dense.rho
-    sigma = np.zeros_like(rho)
-    at = oracle.repeated_basis_index(np.arange(state.dim), state.parties, state.dim)
-    sigma[at, at] = diag
+    sigma = np.zeros(len(rho))
+    sigma[oracle.repeated_basis_index(np.arange(state.dim), state.parties, state.dim)] = diag
     value = oracle.relative_entropy_dense(rho, sigma, rho_values=dense.rho_values)
     return abs(value - measures.relative_entropy(state))
 
@@ -383,12 +388,13 @@ def state_residuals(
 ):
     """(residual per check, min Tr[W sigma]) for every oracle check on one state.
 
-    The checks share one :class:`_DenseViews`: rho is built once, and two
-    Jacobi entry calls cover every spectrum, whatever k: one
-    ``oracle.transpose_spectra`` call for rho and all 2^(k-1) - 1 partial
-    transposes over subsets holding party 1, and sigma's
-    ``oracle.hermitian_eigen``.  The residual functions are looked up by
-    their module-global names on each call, so patching one of them in this
+    The checks share one :class:`_DenseViews`: rho is built once, and one
+    ``oracle.transpose_spectra`` call covers every spectrum, whatever k:
+    rho's and those of all 2^(k-1) - 1 partial transposes over subsets
+    holding party 1.  The realignment check's trace norm is the only other
+    Jacobi call, and the diagonal sigma of the relative entropy is never
+    diagonalised.  The residual functions are looked up by their
+    module-global names on each call, so patching one of them in this
     module reaches every caller.  ``rng`` is drawn from only by the
     witness's separable samples.
     """

@@ -62,7 +62,7 @@ def test_pt_spectrum_subset_independent():
     pairs, zeros = pt.pair_magnitudes, np.zeros(pt.zero_multiplicity)
     expected = np.sort(np.concatenate([pt.diagonal, pairs, -pairs, zeros]))
     for subset in ([1], [2], [3], [1, 2], [1, 3], [2, 3]):
-        vals, _ = hermitian_eigen(partial_transpose(rho, subset, [2, 2, 2]))
+        vals = hermitian_eigen(partial_transpose(rho, subset, [2, 2, 2]))
         assert np.abs(vals - expected).max() <= 1e-9
 
 

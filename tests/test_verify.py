@@ -172,8 +172,9 @@ def test_state_residuals_diagonalise_rho_and_its_first_party_transpose_once(
     monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     state = random_sc_state(parties, dim, 17)
     residuals, w_sep = verify.state_residuals(state, np.random.default_rng(17), 20)
-    # sigma, and rho with all its transposes (rho^{T_1} among them) in one call, whatever k
-    assert sorted(calls) == ["hermitian_eigen", "transpose_spectra"]
+    # rho with all its transposes (rho^{T_1} among them) in one call, whatever
+    # k; the diagonal sigma is not diagonalised
+    assert calls == ["transpose_spectra"]
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert all(entry["pass"] for entry in checks.values())
 
@@ -338,8 +339,25 @@ def test_relative_entropy_residual_writes_sigma_where_dense_from_sc_would(monkey
     monkeypatch.setattr(oracle, "relative_entropy_dense", recording)
     verify.relative_entropy_residual(state)
     sigma_state = measures.optimal_separable(state).as_sc_state(3)
-    assert seen[0].dtype == complex
-    assert np.array_equal(seen[0], oracle.dense_from_sc(sigma_state))
+    assert seen[0].dtype == float
+    assert np.array_equal(seen[0], np.diagonal(oracle.dense_from_sc(sigma_state)).real)
+
+
+@pytest.mark.parametrize("parties, dim", [(4, 3), (3, 4)])
+def test_relative_entropy_residual_builds_no_dense_sigma(parties, dim):
+    # with rho and its spectrum at hand, the check reads rho's diagonal: no
+    # n x n sigma and no eigenvector matrix
+    state = random_sc_state(parties, dim, 27)
+    views = verify._DenseViews(state)
+    rho, _ = views.rho, views.rho_values
+    tracemalloc.start()
+    try:
+        residual = verify.relative_entropy_residual(state, dense=views)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak < rho.nbytes / 4
 
 
 def _clear_oracle_caches():
