@@ -128,9 +128,7 @@ def cmd_analyze(args) -> int:
 
     oracle_failed = False
     if args.oracle:
-        residuals, w_sep = verify.state_residuals(
-            state, np.random.default_rng(0), 100, [args.split], tol=tol
-        )
+        residuals, w_sep = verify.state_residuals(state, [args.split], tol=tol)
         worst = max(residuals.values())
         report["oracle_max_residual"] = worst if np.isfinite(worst) else None
         report["oracle_checks"] = verify.check_entries(residuals, w_sep, tol)

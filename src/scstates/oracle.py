@@ -7,10 +7,13 @@ use ``numpy.linalg`` on the small N x N coefficient matrix where they need
 eigenvalues at all).  Its one rotation loop is a hand-written cyclic
 complex Jacobi (:func:`_jacobi`) that returns eigenvalues only.  It reads
 only a matrix's nonzero entries and rotates each connected component of
-their pattern as a compact block: :func:`hermitian_eigen` diagonalises one
-matrix that way, :func:`transpose_spectra` many partial transposes of one
-matrix without building any of them, and :func:`trace_norm` the Hermitian
-dilation of a rectangular matrix.  The relative entropy is taken to a
+their pattern as a compact block, stacking blocks of one size from
+matrices of any sides: :func:`hermitian_eigen` diagonalises one matrix
+that way, :func:`transpose_spectra` many partial transposes of one matrix
+without building any of them (and, in the same call, the Hermitian
+dilation of its realignment and a witness's partial transpose, read from
+positions alone), and :func:`trace_norm` the Hermitian dilation of a
+rectangular matrix.  The relative entropy is taken to a
 diagonal sigma, whose eigenvectors are the basis vectors, so it needs no
 eigenvectors either.
 
@@ -20,8 +23,10 @@ maps to ``((i_1*N + i_2)*N + ...)*N + i_k``.
 """
 
 import functools
+import itertools
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,15 +186,31 @@ def _rotate_pair(x: np.ndarray, p: int, q: int) -> None:
     x[pp], x[qq] = x[pp].real, x[qq].real
 
 
-def _check_finite(a: np.ndarray, rows, cols) -> np.ndarray:
-    """The entries a[rows, cols], indices in row-major order and covering every
-    nonzero of ``a``; a non-finite one raises ``ValueError`` naming the first."""
-    entries = a[rows, cols]
+def _check_finite(entries: np.ndarray, rows, cols) -> np.ndarray:
+    """``entries``, the entries of a matrix at (rows, cols), indices in
+    row-major order and covering every nonzero; a non-finite one raises
+    ``ValueError`` naming the first."""
     bad = np.flatnonzero(~np.isfinite(entries))
     if bad.size:
         where = (int(rows[bad[0]]), int(cols[bad[0]]))
-        raise ValueError(f"matrix has a non-finite entry {a[where]} at {where}")
+        raise ValueError(f"matrix has a non-finite entry {entries[bad[0]]} at {where}")
     return entries
+
+
+def _symmetrised(entries, mirrored, rows, cols) -> np.ndarray:
+    """(e + conj(e'))/2 of the entries e at (rows, cols), row-major and
+    covering every nonzero, and e' at (cols, rows), after the finiteness
+    check (:func:`_check_finite`) and the Hermitian one: an |e - conj(e')|
+    above ``states.DEFAULT_TOL`` raises :class:`NotHermitianError`."""
+    _check_finite(entries, rows, cols)
+    mirrored = mirrored.conj()
+    defect = float(np.maximum.reduce(abs(entries - mirrored), initial=0.0))
+    if defect > DEFAULT_TOL:
+        raise NotHermitianError(
+            f"matrix is not Hermitian: worst defect {defect:.3e} exceeds {DEFAULT_TOL:.1e}",
+            violation=defect,
+        )
+    return (entries + mirrored) / 2.0
 
 
 def _hermitian_entries(m) -> tuple:
@@ -197,12 +218,10 @@ def _hermitian_entries(m) -> tuple:
 
     ``keys`` are the flat row-major positions r n + c of the nonzero
     pattern of ``m`` OR-ed with its transpose, ascending, and ``entries``
-    the symmetrised (m + m^dag)/2 there.  The pattern is read in blocks
-    of rows and of the matching columns whose flags take at most 1 MiB,
-    so no larger temporary is made.  A non-finite entry raises
-    ``ValueError`` naming the first in row-major order, and an
-    |m - m^dag| entry above ``states.DEFAULT_TOL`` raises
-    :class:`NotHermitianError`.
+    the symmetrised (m + m^dag)/2 there (:func:`_symmetrised`, with its
+    errors).  The pattern is read in blocks of rows and of the matching
+    columns whose flags take at most 1 MiB, so no larger temporary is
+    made.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -215,14 +234,44 @@ def _hermitian_entries(m) -> tuple:
     ]
     keys = np.concatenate(found)
     rows, cols = np.divmod(keys, n)
-    entries, mirrored = _check_finite(a, rows, cols), a[cols, rows].conj()
-    defect = float(np.maximum.reduce(abs(entries - mirrored), initial=0.0))
-    if defect > DEFAULT_TOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: worst defect {defect:.3e} exceeds {DEFAULT_TOL:.1e}",
-            violation=defect,
-        )
-    return n, keys, (entries + mirrored) / 2.0
+    return n, keys, _symmetrised(a[rows, cols], a[cols, rows], rows, cols)
+
+
+def _term_entries(n: int, rows, cols, values) -> tuple:
+    """(keys, entries) of the n x n matrix that sums ``values`` at (rows,
+    cols), as :func:`_hermitian_entries` reads that matrix written out
+    densely, with its errors, but from the terms alone: the values are
+    added per position in term order, the terms of a position whose sum
+    is 0 are dropped, and the rest is closed under transposition and
+    symmetrised.  Where that puts each term depends only on the positions
+    (:func:`_term_layout`).
+    """
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    keys, at, mirror = _term_layout((rows * n + cols).tobytes(), n)
+    summed = np.zeros(keys.size, dtype=complex)
+    np.add.at(summed, at, values)
+    if not summed[at].all():
+        keep = summed[at] != 0
+        return _term_entries(n, rows[keep], cols[keep], np.asarray(values)[keep])
+    rows, cols = np.divmod(keys, n)
+    return keys, _symmetrised(summed, summed[mirror], rows, cols)
+
+
+@functools.lru_cache(maxsize=64)
+def _term_layout(positions: bytes, n: int) -> tuple:
+    """(keys, at, mirror), read-only, for terms at the row-major positions
+    ``positions`` (the bytes of an int array, in term order) of an n x n
+    matrix: the distinct positions closed under transposition, ascending;
+    the index among them of each term's position; and that of each one's
+    mirror.  Kept for the last 64 patterns."""
+    positions = np.frombuffer(positions, dtype=int)
+    keys = np.sort(np.concatenate([positions, positions % n * n + positions // n]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique(keys) imports numpy.ma, ~1 MB
+    rows, cols = np.divmod(keys, n)
+    out = (keys, keys.searchsorted(positions), keys.searchsorted(cols * n + rows))
+    for array in out:
+        array.setflags(write=False)
+    return out
 
 
 def _components(src, dst) -> list:
@@ -250,16 +299,29 @@ def _components(src, dst) -> list:
     return [np.array(by_size[c]) for c in sorted(by_size)]
 
 
-@functools.lru_cache(maxsize=64)
-def _block_layout(n: int, count: int, pattern: bytes) -> tuple:
-    """Where :func:`_jacobi` puts the entries of ``count`` Hermitian n x n
-    matrices whose nonzeros sit at the row-major positions ``pattern``, the
-    bytes of an int array (count, E) with ascending rows.
+def _runs(lengths: tuple) -> tuple:
+    """(start, stop, count, length) per run of equal consecutive ``lengths``,
+    start and stop counted in the concatenation of the lengths."""
+    runs, start = [], 0
+    for length, group in itertools.groupby(lengths):
+        count = len(list(group))
+        runs.append((start, start + count * length, count, length))
+        start += count * length
+    return tuple(runs)
 
-    Vertex i n + r is row r of matrix i.  All blocks live in one flat
-    buffer, ``np.concatenate([entries, [0]]).take(index)`` for the M E
-    entries in ``pattern`` order.  Returns (index, stacks, upper_at,
-    owner, diagonal, vertex, within, members):
+
+@functools.lru_cache(maxsize=64)
+def _block_layout(sides: tuple, sizes: tuple, pattern: bytes) -> tuple:
+    """Where :func:`_jacobi` puts the entries of Hermitian matrices of the
+    given ``sides``, whose nonzeros sit at the row-major positions
+    ``pattern``: the bytes of an int array, sizes[i] ascending positions
+    for matrix i, then those of the next.
+
+    Vertex s_i + r is row r of matrix i, s_i the sum of the sides before
+    it.  All blocks live in one flat buffer,
+    ``np.concatenate([entries, [0]]).take(index)`` for the entries in
+    ``pattern`` order.  Returns (index, stacks, upper_at, owner, diagonal,
+    vertex, within, members, norm_runs, sort_runs):
     - ``stacks``, per block size c, ascending: (start, stop, shape,
       owners, pairs), the buffer slice of the stack and its shape
       (blocks, c, c); the matrix of each block; and the pairs (p, q),
@@ -268,27 +330,33 @@ def _block_layout(n: int, count: int, pattern: bytes) -> tuple:
       p < q, and ``owner``, the matrix of each of their float parts;
     - ``diagonal``, the entries on a diagonal, and ``vertex``, theirs;
     - ``within``, the buffer positions of the blocks' diagonals, and
-      ``members``, their vertices, as from :func:`_components`.
-    The layout depends only on the pattern, which many matrices share (all
+      ``members``, their vertices, as from :func:`_components`;
+    - ``norm_runs`` and ``sort_runs``, the :func:`_runs` of the sizes and
+      of the sides: matrices of one size have their norms taken as the
+      rows of one array, and those of one side their values sorted so.
+    Matrices of any sides stack: a block never spans two of them.  The
+    layout depends only on the pattern, which many matrices share (all
     random states of one shape and rank, and their partial transposes), so
     the last 64 are kept.  Its arrays are read-only.
     """
-    keys = np.frombuffer(pattern, dtype=int).reshape(count, -1)
-    # matrix i's entry (r, c) sits at i n^2 + r n + c, so these ascend
-    flat = (keys + (np.arange(count) * (n * n))[:, None]).ravel()
-    vertex, col = np.divmod(flat, n)
-    other = vertex - vertex % n + col  # the vertex of the entry's column
+    keys = np.frombuffer(pattern, dtype=int)
+    count, total = len(sides), sum(sides)
+    first = np.cumsum((0,) + sides)  # each matrix's first vertex, then the total
+    matrix = np.repeat(np.arange(count), sizes)
+    row, col = np.divmod(keys, np.repeat(sides, sizes))
+    vertex, other = first[matrix] + row, first[matrix] + col
+    flat = vertex * total + other  # ascending, as each matrix's keys ascend
     is_upper = vertex < other
     zero = len(flat)  # the place of the 0
     stacks, parts, start = [], [], 0
     for members in _components(vertex[is_upper], other[is_upper]):
         c = members.shape[1]
-        query = (members * n)[:, :, None] + (members % n)[:, None, :]
+        query = (members * total)[:, :, None] + members[:, None, :]
         at = flat.searchsorted(query)
         block = np.where(flat.take(at, mode="clip") == query, at, zero)
         base = start + np.arange(0, block.size, c * c)[:, None]
         j, k = _pair_indices(c)
-        owners = members[:, 0] // n
+        owners = first.searchsorted(members[:, 0], side="right") - 1
         owners.setflags(write=False)
         pairs = tuple(zip(j.tolist(), k.tolist()))
         stacks.append((start, start + block.size, block.shape, owners, pairs))
@@ -303,38 +371,41 @@ def _block_layout(n: int, count: int, pattern: bytes) -> tuple:
     vertex = vertex[diagonal]
     for array in [index, upper_at, owner, diagonal, vertex, within, members]:
         array.setflags(write=False)
-    return index, tuple(stacks), upper_at, owner, diagonal, vertex, within, members
+    layout = index, tuple(stacks), upper_at, owner, diagonal, vertex, within, members
+    return layout + (_runs(sizes), _runs(sides))
 
 
-def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Cyclic complex Jacobi on M Hermitian n x n matrices at once.
+def _jacobi(sides: tuple, sizes: tuple, keys: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Cyclic complex Jacobi on Hermitian matrices of any ``sides`` at once.
 
-    Matrix i holds entries[i] at the ascending row-major positions keys[i]
-    (shape (M, E), closed under transposition, entries symmetrised).  Each
-    connected component of a matrix's pattern is rotated as a compact
-    c x c block: a rotation on (p, q) rewrites only rows and columns p and
-    q, so entries between components stay zero, as in a sweep over the
-    whole matrix.  Blocks of equal size are stacked (:func:`_block_layout`),
-    and each rotation acts on the blocks of the stack whose entry is
-    nonzero and whose matrix has not converged; a stack of one block is
-    indexed to scalars.  Either way a block sees the arithmetic and the
-    row-major pair order of the full sweep, so a matrix's values do not
-    depend on what is stacked with it.
+    Matrix i holds sizes[i] of the ``entries`` at as many ascending
+    row-major positions of ``keys`` (closed under transposition, entries
+    symmetrised), after those of the matrices before it.  Each connected
+    component of a matrix's pattern is rotated as a compact c x c block: a
+    rotation on (p, q) rewrites only rows and columns p and q, so entries
+    between components stay zero, as in a sweep over the whole matrix.
+    Blocks of equal size are stacked, whatever matrix and side they come
+    from (:func:`_block_layout`), and each rotation acts on the blocks of
+    the stack whose entry is nonzero and whose matrix has not converged;
+    a stack of one block is indexed to scalars.  Either way a block sees
+    the arithmetic and the row-major pair order of the full sweep, so a
+    matrix's values do not depend on what is stacked with it.
 
     A matrix has converged when its off-diagonal Frobenius norm is at most
     1e-12 times its norm; one still above after 100 sweeps raises
-    :class:`EigenConvergenceError`.  Returns the ascending eigenvalues,
-    shape (M, n).  This is the oracle's one rotation loop: eigenvalues,
-    partial-transpose spectra and trace norms all come from it.
+    :class:`EigenConvergenceError`.  Returns every matrix's eigenvalues,
+    ascending, one after the other: sum(sides) values.  This is the
+    oracle's one rotation loop: eigenvalues, partial-transpose spectra
+    and trace norms all come from it.
     """
-    count = len(keys)
-    index, stacks, upper_at, owner, diagonal, vertex, within, members = _block_layout(
-        n, count, keys.tobytes()
-    )
-    entries = entries.ravel()
+    count = len(sides)
+    layout = _block_layout(sides, sizes, keys.tobytes())
+    index, stacks, upper_at, owner, diagonal, vertex, within, members, norm_runs, sort_runs = layout
     buffer = np.concatenate([entries, [0.0]]).take(index)
     blocks = [buffer[start:stop].reshape(shape) for start, stop, shape, *_ in stacks]
-    norms = np.sqrt(np.add.reduce(np.square(entries.view(float)).reshape(count, -1), axis=1))
+    square = np.square(entries.view(float))  # a run's norms are the rows of one reduction
+    norms = [square[2 * a : 2 * b].reshape(c, 2 * size) for a, b, c, size in norm_runs]
+    norms = np.sqrt(np.concatenate([np.zeros(0)] + [np.add.reduce(x, axis=1) for x in norms]))
     conv_tol = 1e-12
     limit = conv_tol * norms
     for sweep in range(101 if stacks else 0):  # no coupled pair: nothing to rotate
@@ -363,11 +434,11 @@ def _jacobi(n: int, keys: np.ndarray, entries: np.ndarray) -> np.ndarray:
                     part = x[hit]
                     _rotate_pair(part, p, q)
                     x[hit] = part
-    values = np.zeros(count * n)
+    values = np.zeros(sum(sides))
     values[vertex] = entries[diagonal].real
     values[members] = buffer[within].real
-    values = values.reshape(count, n)
-    values.sort(axis=1, kind="stable")
+    for a, b, c, side in sort_runs:
+        values[a:b].reshape(c, side).sort(axis=1, kind="stable")
     return values
 
 
@@ -397,7 +468,7 @@ def hermitian_eigen(m: np.ndarray) -> np.ndarray:
     row-major order, before any sweep.
     """
     n, keys, entries = _hermitian_entries(m)
-    return _jacobi(n, keys[None, :], entries[None, :])[0]
+    return _jacobi((n,), (keys.size,), keys, entries)
 
 
 def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarray:
@@ -414,7 +485,20 @@ def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarra
     return keys + (chosen @ swapped) * (n - 1)  # and the column index loses
 
 
-def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
+class StateSpectra(NamedTuple):
+    """What :func:`transpose_spectra` returns when asked for more than the
+    partial transposes: their rows; the dilation's and the witness's rows,
+    each None if not asked for; and the positions of the nonzeros of ``m``
+    that the one gather read (its pattern OR-ed with its transpose,
+    ascending, row-major)."""
+
+    transposes: np.ndarray
+    dilation: object
+    witness: object
+    keys: np.ndarray
+
+
+def transpose_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None):
     """Ascending Jacobi eigenvalues of the partial transpose of ``m`` over each
     subset, shape (len(subsets), N), row i for ``subsets[i]``.
 
@@ -429,12 +513,25 @@ def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
     be proper, and errors are those of :func:`hermitian_eigen` and
     :func:`partial_transpose`.
 
-    What depends only on the subsets and on the nonzero pattern of ``m``
-    is kept, read-only, for the last 64 of each, as the Jacobi block
-    layout is: the validated subsets (:func:`_valid_subsets`), and the
-    transposed positions with the order that sorts them
-    (:func:`_transposed_keys`).  So another state of one shape and rank
-    pays only for reading its entries and for the sweeps.
+    The same sweep loop takes two more matrices on request, and then a
+    :class:`StateSpectra` is returned:
+    - ``dilation=True``: the Hermitian dilation [[0, R], [R^dag, 0]] of
+      R = ``realign(m, dims[0], prod(dims[1:]))``, its positions mapped
+      from those of the gathered nonzeros (:func:`_realigned_keys`), so R
+      is never built.  Half the sum of its row's moduli is R's trace
+      norm, equal to ``trace_norm(R)`` for an exactly Hermitian ``m``.
+    - ``witness=(rows, cols, values)``: the partial transpose over party 1
+      of the Hermitian matrix W summing ``values`` at (rows, cols), read
+      from the terms alone (:func:`_term_entries`); the row is
+      bit-identical to ``hermitian_eigen(partial_transpose(W, [1], dims))``.
+
+    What depends only on the subsets and on a nonzero pattern is kept,
+    read-only, for the last 64 of each, as the Jacobi block layout is: the
+    validated subsets (:func:`_valid_subsets`), the transposed positions
+    with the order that sorts them (:func:`_transposed_keys`, also for
+    W's pattern) and the dilation's (:func:`_dilation_keys`).  So another
+    state of one shape and rank pays only for reading its entries and for
+    the sweeps.
     """
     dims = tuple(int(d) for d in dims)
     total = math.prod(dims)
@@ -445,8 +542,39 @@ def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
         )
     subsets = _valid_subsets(tuple(map(tuple, subsets)), len(dims))
     _, keys, entries = _hermitian_entries(m)
-    keys, order = _transposed_keys(keys.tobytes(), subsets, dims, _partial_transpose_keys)
-    return _jacobi(total, keys, entries[order])
+    pattern = keys.tobytes()
+    sides, sizes, stacked, values = [], [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    if subsets:
+        moved, order = _transposed_keys(pattern, subsets, dims, _partial_transpose_keys)
+        sides += [total] * len(subsets)
+        sizes += [keys.size] * len(subsets)
+        stacked.append(moved.ravel())
+        values.append(entries[order].ravel())
+    if witness is not None:
+        w_keys, w_entries = _term_entries(total, *witness)
+        first = _valid_subsets(((1,),), len(dims))
+        moved, order = _transposed_keys(w_keys.tobytes(), first, dims, _partial_transpose_keys)
+        sides.append(total)
+        sizes.append(w_keys.size)
+        stacked.append(moved[0])
+        values.append(w_entries[order[0]])
+    if dilation:
+        side, moved, order = _dilation_keys(pattern, dims, _realigned_keys)
+        sides.append(side)
+        sizes.append(moved.size)
+        stacked.append(moved)
+        values.append(np.concatenate([entries, entries.conj()])[order])
+    spectra = _jacobi(tuple(sides), tuple(sizes), np.concatenate(stacked), np.concatenate(values))
+    rows = spectra[: len(subsets) * total].reshape(len(subsets), total)
+    if not dilation and witness is None:
+        return rows
+    at = rows.size + (total if witness is not None else 0)
+    return StateSpectra(
+        rows,
+        spectra[at:] if dilation else None,
+        spectra[rows.size : at] if witness is not None else None,
+        keys,
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -473,6 +601,49 @@ def _transposed_keys(pattern: bytes, subsets: tuple, dims: tuple, rule) -> tuple
     keys.setflags(write=False)
     order.setflags(write=False)
     return keys, order
+
+
+def _realigned_keys(keys: np.ndarray, dims: tuple) -> tuple:
+    """(rows, cols) that the entries at the row-major positions ``keys`` take
+    in the realigned matrix (party 1 | the rest, as :func:`realign`): the
+    row is party 1's row and column digit, the column the rest's row and
+    column index."""
+    rest = math.prod(dims[1:])
+    row, col = np.divmod(keys, dims[0] * rest)
+    (row_1, row_rest), (col_1, col_rest) = np.divmod(row, rest), np.divmod(col, rest)
+    return row_1 * dims[0] + col_1, row_rest * rest + col_rest
+
+
+@functools.lru_cache(maxsize=64)
+def _dilation_keys(pattern: bytes, dims: tuple, rule) -> tuple:
+    """(side, keys, order), keys and order read-only: the Hermitian dilation
+    H = [[0, R], [R^dag, 0]] of the realigned matrix R, whose entries sit at
+    ``rule(pattern keys, dims)``, (rows, cols) from the row-major positions
+    ``pattern`` (the bytes of an ascending int array).
+
+    ``side`` is R's rows plus columns, ``keys`` are H's positions of R's
+    entries and then of their mirrors, sorted, and ``order`` the order that
+    sorts them.  ``rule`` is :func:`_realigned_keys` as the caller finds
+    it, keyed as in :func:`_transposed_keys`.
+    """
+    rows, cols = rule(np.frombuffer(pattern, dtype=int), dims)
+    top = dims[0] ** 2
+    side = top + math.prod(dims[1:]) ** 2
+    keys, order = _dilated_keys(rows, cols, top, side)
+    keys.setflags(write=False)
+    order.setflags(write=False)
+    return side, keys, order
+
+
+def _dilated_keys(rows, cols, top: int, side: int) -> tuple:
+    """(keys, order): the positions in the side x side Hermitian dilation
+    [[0, R], [R^dag, 0]] of the entries of R, which has ``top`` rows, at
+    (rows, cols), then of their mirrors, sorted, and the order that sorts
+    them."""
+    cols = cols + top
+    keys = np.concatenate([rows * side + cols, cols * side + rows])
+    order = keys.argsort()
+    return keys[order], order
 
 
 def realign(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -509,13 +680,10 @@ def trace_norm(m: np.ndarray) -> float:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     rows, cols = np.nonzero(m != 0)  # numpy scans the flags faster than complex m
-    entries = _check_finite(m, rows, cols)
-    n, cols = sum(m.shape), cols + m.shape[0]
-    # H's entries (r, c) above the diagonal ascend already; their mirrors (c, r) are sorted
-    mirror = cols * n + rows
-    order = mirror.argsort()
-    keys = np.concatenate([rows * n + cols, mirror[order]])
-    values = _jacobi(n, keys[None, :], np.concatenate([entries, entries.conj()[order]])[None, :])
+    entries = _check_finite(m[rows, cols], rows, cols)
+    n = sum(m.shape)
+    keys, order = _dilated_keys(rows, cols, m.shape[0], n)
+    values = _jacobi((n,), (keys.size,), keys, np.concatenate([entries, entries.conj()])[order])
     return 0.5 * float(np.abs(values).sum())
 
 

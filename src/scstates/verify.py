@@ -7,11 +7,15 @@ disagreement.  ``state_residuals`` runs them all on one state (``analyze
 --oracle``), ``run_suite`` over random states (``oracle-verify``), and
 ``check_entries`` applies the one tolerance rule to either result.  Each
 check takes an optional ``dense``, the :class:`_DenseViews` through which
-``state_residuals`` shares rho and its spectra among them; a check called
-without it builds what it reads itself.
+``state_residuals`` shares rho, its nonzeros, the witness and one stacked
+Jacobi call among them; a check called without it builds what it reads
+itself.
 
-The witness is also checked on random product pure states, where Tr[W sigma]
-is lowest over the fully separable states (``witness_residuals``).
+The witness is certified rather than sampled: W^{T_1} >= 0 makes
+Tr[W sigma] = Tr[W^{T_1} sigma^{T_1}] >= lambda_min(W^{T_1}) for every
+sigma that is PPT across party 1 | rest, which every fully separable
+sigma is (``witness_certificate``).  ``witness_residuals`` keeps the
+sampled bound over random product states for callers that ask for it.
 """
 
 import functools
@@ -43,20 +47,23 @@ def _first_party_subsets(parties: int) -> tuple:
 
 
 class _DenseViews:
-    """The dense rho of one state and the Jacobi spectra several checks read,
-    each built on first use.
+    """The dense rho of one state, its witness and the Jacobi spectra several
+    checks read, each built on first use.
 
     ``state_residuals`` hands one made with ``shared=True`` to all its
-    checks, so rho is built once, and rho and all its partial transposes
-    over subsets holding party 1 (:func:`_first_party_subsets`, made once
-    per k) are diagonalised by one ``oracle.transpose_spectra`` call;
-    every spectrum a check reads is a row of that stack.  No other matrix
-    is diagonalised for its eigenvalues: the relative entropy's sigma is
-    diagonal, and the realignment check's trace norm is a singular-value
-    sum.  A check called on its own makes its own, which diagonalises only
-    the row the check reads: rho for the state spectrum and the relative
-    entropy, rho^{T_1} for the negativity; the PT-spectrum check reads the
-    whole stack either way.  Nothing here outlives the call that made it.
+    checks, so rho and the witness are built once, and one
+    ``oracle.transpose_spectra`` call, one gather of rho's nonzeros and
+    one ``_jacobi`` sweep loop, diagonalises everything the checks read:
+    rho and all its partial transposes over subsets holding party 1
+    (:func:`_first_party_subsets`, made once per k), the Hermitian
+    dilation of the realigned rho and W^{T_1}.  The Bloch check reads the
+    positions of rho's nonzeros from that gather.  The relative entropy's
+    sigma is diagonal and never diagonalised.  A check called on its own
+    makes its own, which diagonalises only the row the check reads: rho
+    for the state spectrum and the relative entropy, rho^{T_1} for the
+    negativity, the dilation for the realignment, W^{T_1} for the witness
+    certificate; the PT-spectrum check reads all the transposes either
+    way.  Nothing here outlives the call that made it.
     """
 
     def __init__(self, state: SCState, *, shared: bool = False):
@@ -67,29 +74,68 @@ class _DenseViews:
     def rho(self) -> np.ndarray:
         return oracle.dense_from_sc(self.state)
 
-    def _spectra(self, subsets) -> np.ndarray:
+    @cached_property
+    def witness(self) -> tuple:
+        """(w, rows, cols, values): the state's witness and its terms as arrays."""
+        w = separability.build_witness(self.state)
+        rows, cols, values = zip(*w.terms) if w.terms else ((), (), ())
+        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        return w, rows, cols, np.array(values, dtype=complex)
+
+    def _spectra(self, subsets, **extra):
         dims = [self.state.dim] * self.state.parties
-        return oracle.transpose_spectra(self.rho, subsets, dims)
+        return oracle.transpose_spectra(self.rho, subsets, dims, **extra)
 
     @cached_property
-    def spectra(self) -> np.ndarray:
+    def _stacked(self) -> oracle.StateSpectra:
+        """The one stacked call of a shared view."""
+        subsets = _first_party_subsets(self.state.parties)
+        return self._spectra(subsets, dilation=True, witness=self.witness[1:])
+
+    @cached_property
+    def transposes(self) -> np.ndarray:
         """Jacobi eigenvalues, ascending: row 0 of rho (the empty subset), then
         of rho^{T_S} for each proper subset S holding party 1, [1] first."""
+        if self.shared:
+            return self._stacked.transposes
         return self._spectra(_first_party_subsets(self.state.parties))
 
     @cached_property
     def rho_values(self) -> np.ndarray:
-        return self.spectra[0] if self.shared else self._spectra([()])[0]
+        return self.transposes[0] if self.shared else self._spectra([()])[0]
 
     @cached_property
     def pt1_values(self) -> np.ndarray:
         """The spectrum of rho^{T_1}."""
-        return self.spectra[1] if self.shared else self._spectra([(1,)])[0]
+        return self.transposes[1] if self.shared else self._spectra([(1,)])[0]
 
     @property
     def pt_values(self) -> np.ndarray:
         """The rows of rho^{T_S}; row 0 is rho^{T_1}."""
-        return self.spectra[1:]
+        return self.transposes[1:]
+
+    @cached_property
+    def dilation_values(self) -> np.ndarray:
+        """The spectrum of the Hermitian dilation of rho realigned as party 1 | rest."""
+        if self.shared:
+            return self._stacked.dilation
+        return self._spectra([], dilation=True).dilation
+
+    @cached_property
+    def witness_values(self) -> np.ndarray:
+        """The spectrum of W^{T_1}."""
+        if self.shared:
+            return self._stacked.witness
+        return self._spectra([], witness=self.witness[1:]).witness
+
+    @cached_property
+    def nonzeros(self) -> np.ndarray:
+        """The flat positions of rho's nonzeros, ascending: those the stacked
+        call gathered (rho's pattern is symmetric, so OR-ing it with its
+        transpose adds none) or, alone, one scan."""
+        if self.shared:
+            return self._stacked.keys
+        return np.flatnonzero(self.rho.ravel() != 0)
 
 
 def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
@@ -99,21 +145,22 @@ def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
     in one ``oracle.transpose_spectra`` call: rho^{T_{S^c}} =
     (rho^{T_S})^T = conj(rho^{T_S}), with the same Jacobi values.
     """
-    dense = dense or _DenseViews(state)
+    values = (dense or _DenseViews(state)).pt_values  # the size guard before the padding zeros
     spectrum = separability.pt_spectrum(state)
     pairs, zeros = spectrum.pair_magnitudes, np.zeros(spectrum.zero_multiplicity)
     expected = np.sort(np.concatenate([spectrum.diagonal, pairs, -pairs, zeros]))
-    return float(np.abs(dense.pt_values - expected).max())
+    return float(np.abs(values - expected).max())
 
 
 def realignment_residual(state: SCState, *, dense=None) -> float:
-    """Sum-of-moduli closed form vs trace norm of the realigned dense matrix,
-    which ``oracle.trace_norm`` reads off the Jacobi spectrum of its
-    Hermitian dilation."""
+    """Sum-of-moduli closed form vs the trace norm of the realigned dense
+    matrix (party 1 | rest), half the sum of the moduli of the Jacobi
+    spectrum of its Hermitian dilation, which ``oracle.transpose_spectra``
+    writes from rho's nonzeros: the value ``oracle.trace_norm(
+    oracle.realign(rho, N, N^(k-1)))`` gives, with no realigned copy."""
     dense = dense or _DenseViews(state)
-    n, k = state.dim, state.parties
-    r = oracle.realign(dense.rho, n, n ** (k - 1))
-    return abs(oracle.trace_norm(r) - separability.realignment_norm(state))
+    value = 0.5 * float(np.abs(dense.dilation_values).sum())
+    return abs(value - separability.realignment_norm(state))
 
 
 def negativity_residual(state: SCState, *, dense=None) -> float:
@@ -198,16 +245,14 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dens
     x v[c] conj(v[r]) over the terms (r, c, x), with each entry of v the
     product of the local factors at the index's base-N digits (no dense
     sigma, no SC shortcut).  An empty witness gives 0.0 and no samples
-    give inf.
+    give inf.  ``state_residuals`` takes the first number only, and
+    :func:`witness_certificate` in place of the second.
     """
-    w = separability.build_witness(state)
+    dense = dense or _DenseViews(state)
+    w, rows, cols, values = dense.witness
     target = -float(sum(abs(state.a[m, j]) for m, j in w.source_pairs))
     closed = separability.witness_expectation(w, state)
-    rows, cols, values = zip(*w.terms) if w.terms else ((), (), ())
-    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
-    values = np.array(values, dtype=complex)
-    rho = (dense or _DenseViews(state)).rho
-    on_rho = float((values * rho[cols, rows]).sum().real)
+    on_rho = float((values * dense.rho[cols, rows]).sum().real)
     residual = max(abs(closed - target), abs(on_rho - target))
     if separable_samples < 1:
         return residual, float("inf")
@@ -225,6 +270,22 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dens
         expect = (vec[:, rows.size :] * vec[:, : rows.size].conj()) @ values
         worst_separable = min(worst_separable, float(expect.real.min()))
     return residual, float(worst_separable)
+
+
+def witness_certificate(state: SCState, *, dense=None) -> float:
+    """lambda_min(W^{T_1}) of the state's witness W, from the oracle's Jacobi.
+
+    ``build_witness`` makes W the party-1 partial transpose of a sum of
+    projectors, a decomposable witness (Lewenstein, Kraus, Cirac &
+    Horodecki, PRA 62, 052310 (2000)): for every fully separable sigma,
+    sigma^{T_1} >= 0 and so Tr[W sigma] = Tr[W^{T_1} sigma^{T_1}] >=
+    lambda_min(W^{T_1}).  The value is thus a certified lower bound on
+    min Tr[W sigma] over separable sigma, and >= -tol certifies that W
+    is a witness.  It reads 0 (or round-off below it) on every witness
+    ``build_witness`` makes; an empty witness gives 0.0.
+    """
+    dense = dense or _DenseViews(state)
+    return float(dense.witness_values[0])
 
 
 def _default_splits(parties: int):
@@ -303,7 +364,9 @@ def bloch_residuals(
     the whole matrix, read as the rebuilt entries against rho there and
     every other nonzero of rho in full (the generators are orthogonal, so
     the two agree exactly when every stored coefficient is right; the
-    format has no slot for the structural zeros).  It also demands the
+    format has no slot for the structural zeros).  Under
+    ``state_residuals`` rho's nonzeros are those its stacked Jacobi call
+    gathered; called alone, it scans rho for them.  It also demands the
     pair-value separability verdict match the off-diagonal test.
     Disagreement on the verdict, or two pairs stored on one position,
     returns infinity; otherwise the worst numeric residual.  Beyond the
@@ -313,8 +376,8 @@ def bloch_residuals(
     if splits is None:
         splits = _default_splits(state.parties)
     sep = separability.is_fully_separable(state, tol)
-    rho = (dense or _DenseViews(state)).rho.ravel()
-    on_rho = np.flatnonzero(rho != 0)
+    dense = dense or _DenseViews(state)
+    rho, on_rho = dense.rho.ravel(), dense.nonzeros
     worst = 0.0
     for split in splits:
         b = separability.bloch_decomposition(state, split)
@@ -380,37 +443,35 @@ def separability_votes(
 
 def state_residuals(
     state: SCState,
-    rng,
-    separable_samples: int = 500,
     splits=None,
     *,
     tol: float = separability.DEFAULT_SEP_TOL,
 ):
-    """(residual per check, min Tr[W sigma]) for every oracle check on one state.
+    """(residual per check, lambda_min(W^{T_1})) for every oracle check on one state.
 
-    The checks share one :class:`_DenseViews`: rho is built once, and one
-    ``oracle.transpose_spectra`` call covers every spectrum, whatever k:
-    rho's and those of all 2^(k-1) - 1 partial transposes over subsets
-    holding party 1.  The realignment check's trace norm is the only other
-    Jacobi call, and the diagonal sigma of the relative entropy is never
-    diagonalised.  The residual functions are looked up by their
+    The checks share one :class:`_DenseViews`: rho and the witness are
+    built once, and one ``oracle.transpose_spectra`` call, so one gather
+    of rho's nonzeros and one ``_jacobi`` call, covers every spectrum,
+    whatever k: rho's, those of all 2^(k-1) - 1 partial transposes over
+    subsets holding party 1, the Hermitian dilation of the realigned rho
+    and W^{T_1}.  The Bloch check reads rho's nonzeros from that gather,
+    the diagonal sigma of the relative entropy is never diagonalised, and
+    the witness is certified by :func:`witness_certificate`, so nothing
+    is sampled.  The residual functions are looked up by their
     module-global names on each call, so patching one of them in this
-    module reaches every caller.  ``rng`` is drawn from only by the
-    witness's separable samples.
+    module reaches every caller.
     """
     dense = _DenseViews(state, shared=True)
-    bloch = bloch_residuals(state, splits, tol=tol, dense=dense)
-    w_res, w_sep = witness_residuals(state, rng, separable_samples, dense=dense)
     residuals = {
         "pt_spectrum": pt_spectrum_residual(state, dense=dense),
         "realignment": realignment_residual(state, dense=dense),
         "negativity": negativity_residual(state, dense=dense),
         "relative_entropy": relative_entropy_residual(state, dense=dense),
         "state_spectrum": state_spectrum_residual(state, dense=dense),
-        "witness": w_res,
-        "bloch": bloch,
+        "witness": witness_residuals(state, None, 0, dense=dense)[0],
+        "bloch": bloch_residuals(state, splits, tol=tol, dense=dense),
     }
-    return residuals, w_sep
+    return residuals, witness_certificate(state, dense=dense)
 
 
 def _finite_or_none(x):
@@ -422,7 +483,10 @@ def check_entries(worst: dict, worst_separable: float, tol: float) -> dict:
     """Report entries {max_residual, tol, pass} for each check in ``worst``.
 
     A non-finite residual (verdict mismatch, support leak) is null and fails.
-    The witness entry also needs its worst separable expectation >= -tol.
+    The witness entry also needs ``worst_separable``, a lower bound on
+    Tr[W sigma] over separable sigma (``state_residuals`` gives
+    lambda_min(W^{T_1})), to be >= -tol; it is reported as
+    ``min_separable_expectation``.
     """
     checks = {}
     for name, value in worst.items():
@@ -461,7 +525,7 @@ def run_suite(
 
     for _ in range(samples):
         state = random_sc_state(parties, dim, rng)
-        residuals, w_sep = state_residuals(state, rng, tol=tol)
+        residuals, w_sep = state_residuals(state, tol=tol)
         worst_separable = min(worst_separable, w_sep)
         support = int(rng.integers(2, dim + 1))
         psi = random_pure_sc_state(parties, dim, rng, support_size=support)

@@ -6,6 +6,7 @@ one rotation loop), so it gets cross-checked here against numpy's LAPACK
 routines (the code path the closed forms use) on random matrices.
 """
 
+import math
 import re
 import tracemalloc
 
@@ -14,6 +15,7 @@ import pytest
 
 from scstates import (
     SizeGuardError,
+    build_witness,
     ghz,
     new_pure_sc_state,
     new_sc_state,
@@ -243,7 +245,7 @@ def test_jacobi_reuses_one_read_only_layout_per_pattern():
     info = oracle._block_layout.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     n, keys, _ = oracle._hermitian_entries(first)
-    index, stacks, *arrays = oracle._block_layout(n, 1, keys.tobytes())
+    index, stacks, *arrays, _, _ = oracle._block_layout((n,), (keys.size,), keys.tobytes())
     arrays += [index] + [owners for *_, owners, _ in stacks]
     assert stacks and not any(array.flags.writeable for array in arrays)
 
@@ -442,6 +444,13 @@ def test_transpose_spectra_with_untransposed_indices_fail_the_pt_check(monkeypat
     assert verify.pt_spectrum_residual(state) <= 1e-12
     monkeypatch.setattr(oracle, "_partial_transpose_keys", untransposed)
     assert verify.pt_spectrum_residual(state) > 1e-3
+    # the state path maps rho's and W's positions by the same rule: every
+    # check that reads a transpose fails, W's own spectrum included
+    residuals, w_sep = verify.state_residuals(state)
+    checks = verify.check_entries(residuals, w_sep, 1e-9)
+    assert {name for name, entry in checks.items() if not entry["pass"]} == {
+        "pt_spectrum", "negativity", "witness"
+    }
 
 
 def test_jacobi_reports_the_matrix_that_does_not_converge(monkeypatch):
@@ -868,3 +877,137 @@ def test_trace_norm_names_a_non_finite_entry_found_by_its_flags():
     m[0, 0], m[2, 3] = 1.0, complex(0.0, np.nan)
     with pytest.raises(ValueError, match=r"non-finite entry .* at \(2, 3\)"):
         trace_norm(m)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_jacobi_stacks_matrices_of_different_sides_bit_identically(sparse):
+    # matrices of sides 5, 9, 2 and 7 in one sweep loop, two 4 x 4 of one
+    # entry count but norms 1e8 apart, and one with no entry: each is
+    # diagonalised as if alone, its blocks stacked with blocks of the same
+    # size from the others, and stops at its own norm's tolerance
+    rng = np.random.default_rng(1830 + sparse)
+    matrices = [random_hermitian(side, rng) for side in (5, 9, 2, 7)]
+    if sparse:
+        for m in matrices:
+            m[np.abs(m) < 0.8] = 0.0
+    matrices += [random_hermitian(4, rng), 1e8 * random_hermitian(4, rng), np.zeros((3, 3))]
+    gathered = [oracle._hermitian_entries(m) for m in matrices]
+    sides = tuple(n for n, _, _ in gathered)
+    sizes = tuple(keys.size for _, keys, _ in gathered)
+    keys = np.concatenate([keys for _, keys, _ in gathered])
+    entries = np.concatenate([entries for _, _, entries in gathered])
+    values = np.split(oracle._jacobi(sides, sizes, keys, entries), np.cumsum(sides)[:-1])
+    for m, row in zip(matrices, values):
+        assert np.array_equal(row, hermitian_eigen(m))
+        assert np.array_equal(row, _reference_hermitian_eigen(m))
+
+
+def _witness_terms(state):
+    w = build_witness(state)
+    rows, cols, values = (np.array(x) for x in zip(*w.terms))
+    return w, rows, cols, values.astype(complex)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (4, 3), (6, 2), (3, 4)])
+def test_transpose_spectra_extra_rows_match_their_dense_routes(parties, dim):
+    # the realignment's dilation gives trace_norm(realign(rho)) exactly, and
+    # W^{T_1} the Jacobi values of the dense transpose of W's dense form;
+    # the transposes are unchanged by what is stacked with them
+    state = random_sc_state(parties, dim, 1830 + 10 * parties + dim)
+    rho, dims = dense_from_sc(state), [dim] * parties
+    w, rows, cols, values = _witness_terms(state)
+    subsets = verify._first_party_subsets(parties)
+    out = transpose_spectra(rho, subsets, dims, dilation=True, witness=(rows, cols, values))
+    assert np.array_equal(out.transposes, transpose_spectra(rho, subsets, dims))
+    realigned = realign(rho, dim, dim ** (parties - 1))
+    assert out.dilation.size == sum(realigned.shape)
+    assert 0.5 * float(np.abs(out.dilation).sum()) == trace_norm(realigned)
+    assert np.array_equal(out.witness, hermitian_eigen(partial_transpose(w.to_dense(), [1], dims)))
+    assert np.array_equal(out.keys, np.flatnonzero(rho != 0))
+    # each row alone is the same row
+    alone = transpose_spectra(rho, [], dims, dilation=True)
+    assert alone.transposes.shape == (0, dim**parties) and alone.witness is None
+    assert np.array_equal(alone.dilation, out.dilation)
+    alone = transpose_spectra(rho, [], dims, witness=(rows, cols, values))
+    assert alone.dilation is None and np.array_equal(alone.witness, out.witness)
+
+
+def _term_panel():
+    rng = np.random.default_rng(1832)
+    w, rows, cols, values = _witness_terms(random_sc_state(3, 3, rng))
+    yield "witness", 27, rows, cols, values
+    m = random_hermitian(6, rng)
+    m[np.abs(m) < 0.7] = 0.0
+    r, c = np.nonzero(m)
+    yield "hermitian", 6, r, c, m[r, c]
+    # one position split over three terms, in an order that rounds
+    yield "repeated", 4, np.array([1, 1, 2, 1]), np.array([2, 2, 1, 2]), np.array(
+        [0.1 + 0.2j, 0.7 - 0.3j, 0.9 + 0.0j, 0.1 + 0.1j]
+    )
+    # terms that cancel: their position is not in the pattern
+    yield "cancelling", 4, np.array([0, 0, 3, 1, 2]), np.array([3, 3, 0, 1, 2]), np.array(
+        [0.5j, -0.5j, 0.0, 0.25, 0.0]
+    )
+    # an entry within DEFAULT_TOL whose mirror has no term
+    yield "one-sided", 5, np.array([0, 4]), np.array([4, 4]), np.array([0.4 * DEFAULT_TOL, 1.0])
+    yield "empty", 4, np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "n, rows, cols, values", [pytest.param(*case[1:], id=case[0]) for case in _term_panel()]
+)
+def test_term_entries_read_the_terms_as_the_dense_gather_reads_their_sum(n, rows, cols, values):
+    dense = np.zeros((n, n), dtype=complex)
+    for r, c, v in zip(rows, cols, values):
+        dense[r, c] += v
+    _, keys, entries = oracle._hermitian_entries(dense)
+    got_keys, got_entries = oracle._term_entries(n, rows, cols, values)
+    assert np.array_equal(got_keys, keys)
+    assert got_entries.tobytes() == entries.tobytes()
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(np.nan, ValueError), (complex(0.0, np.inf), ValueError), (1e-3, NotHermitianError)],
+    ids=["nan", "inf", "not-hermitian"],
+)
+def test_term_entries_refuse_bad_terms_as_the_dense_gather_does(value, error):
+    rows, cols = np.array([0, 2, 3, 1]), np.array([0, 3, 2, 1])
+    values = np.array([0.5, 0.2 + 0.1j, 0.2 - 0.1j, 0.5], dtype=complex)
+    values[2] += value
+    dense = np.zeros((4, 4), dtype=complex)
+    dense[rows, cols] = values
+    with pytest.raises(error) as expected:
+        oracle._hermitian_entries(dense)
+    with pytest.raises(error, match=re.escape(str(expected.value)) + "$"):
+        oracle._term_entries(4, rows, cols, values)
+
+
+def test_wrong_realignment_positions_fail_only_the_realignment_check(monkeypatch):
+    # the dilation's positions come from the index rule as the caller finds
+    # it, so a replaced rule is called; one that leaves the digits in place
+    # realigns nothing, and the dilation of rho has rho's trace norm, 1
+    def unrealigned(keys, dims):
+        return np.divmod(keys, math.prod(dims))
+
+    state = random_sc_state(3, 3, 1833)
+    monkeypatch.setattr(oracle, "_realigned_keys", unrealigned)
+    residuals, w_sep = verify.state_residuals(state)
+    checks = verify.check_entries(residuals, w_sep, 1e-9)
+    assert {name for name, entry in checks.items() if not entry["pass"]} == {"realignment"}
+
+
+def test_dilation_and_term_positions_keep_the_last_64_patterns():
+    rho = dense_from_sc(random_sc_state(3, 3, 1834))
+    _, keys, _ = oracle._hermitian_entries(rho)
+    oracle._dilation_keys.cache_clear()
+    oracle._term_layout.cache_clear()
+    for key in range(70):
+        oracle._dilation_keys(np.array([key]).tobytes(), (2, 2), oracle._realigned_keys)
+        oracle._term_layout(np.array([key]).tobytes(), 9)
+    for cache in (oracle._dilation_keys, oracle._term_layout):
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == 64
+    side, moved, order = oracle._dilation_keys(keys.tobytes(), (3, 3, 3), oracle._realigned_keys)
+    assert side == 9 + 81
+    assert not moved.flags.writeable and not order.flags.writeable
+    assert all(not array.flags.writeable for array in oracle._term_layout(keys.tobytes(), 27))

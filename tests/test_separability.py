@@ -1,5 +1,6 @@
 """Partial-transpose spectra, witnesses, realignment, and the Bloch test."""
 
+import dataclasses
 import re
 import time
 
@@ -325,3 +326,28 @@ def test_corollary2_tolerance_knob():
     b = bloch_decomposition(st, 1)
     assert not check_corollary2(b)
     assert check_corollary2(b, tol=1e-3)
+
+
+def test_witness_expectation_reads_only_the_terms_on_the_support():
+    # build_witness lists the 2 P terms |m...m><n...n| it can meet, and the
+    # sum over them has the bits of the sum over every term
+    rng = np.random.default_rng(104)
+    for parties, dim in [(2, 2), (3, 3), (5, 4), (4, 8)]:
+        st = random_sc_state(parties, dim, rng)
+        w = build_witness(st)
+        unit = repeated_basis_index(1, parties, dim)
+        on_support = tuple(
+            i for i, (r, c, _) in enumerate(w.terms) if r % unit == 0 and c % unit == 0
+        )
+        assert w.support_terms == on_support
+        assert len(on_support) == 2 * len(w.source_pairs)
+        everything = dataclasses.replace(w, support_terms=None)
+        assert witness_expectation(w, st) == witness_expectation(everything, st)
+        # the terms off the support are not read
+        off = [i for i in range(len(w.terms)) if i not in on_support]
+        poisoned = list(w.terms)
+        for i in off:
+            poisoned[i] = (0, 0, complex(np.nan))
+        assert witness_expectation(dataclasses.replace(w, terms=tuple(poisoned)), st) == (
+            witness_expectation(w, st)
+        )

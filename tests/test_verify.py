@@ -163,18 +163,19 @@ def test_state_residuals_diagonalise_rho_and_its_first_party_transpose_once(
         calls.append("hermitian_eigen")
         return eigen(m, **kwargs)
 
-    def counted_spectra(m, subsets, dims):
-        calls.append("transpose_spectra")
-        return spectra(m, subsets, dims)
+    def counted_spectra(m, subsets, dims, **extra):
+        calls.append(("transpose_spectra", sorted(extra)))
+        return spectra(m, subsets, dims, **extra)
 
     monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
     monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
     monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     state = random_sc_state(parties, dim, 17)
-    residuals, w_sep = verify.state_residuals(state, np.random.default_rng(17), 20)
-    # rho with all its transposes (rho^{T_1} among them) in one call, whatever
-    # k; the diagonal sigma is not diagonalised
-    assert calls == ["transpose_spectra"]
+    residuals, w_sep = verify.state_residuals(state)
+    # rho with all its transposes (rho^{T_1} among them), the realignment's
+    # dilation and W^{T_1} in one call, whatever k; the diagonal sigma is
+    # not diagonalised
+    assert calls == [("transpose_spectra", ["dilation", "witness"])]
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert all(entry["pass"] for entry in checks.values())
 
@@ -189,25 +190,42 @@ def _shift_weight(values):
     return values
 
 
+def _lower_the_least(values):
+    values = values.copy()
+    values[0] -= 1e-3
+    return values
+
+
 @pytest.mark.parametrize(
     "target, readers",
-    [("rho", {"state_spectrum", "relative_entropy"}), ("rho_t1", {"pt_spectrum", "negativity"})],
+    [
+        ("rho", {"state_spectrum", "relative_entropy"}),
+        ("rho_t1", {"pt_spectrum", "negativity"}),
+        ("dilation", {"realignment"}),
+        ("witness", {"witness"}),
+    ],
 )
 def test_state_residuals_hand_each_shared_spectrum_to_every_check_that_reads_it(
     monkeypatch, target, readers
 ):
-    # corrupt the one row of rho (the empty subset) or of rho^{T_1}
+    # corrupt the one row of rho (the empty subset), of rho^{T_1}, of the
+    # realignment's dilation or of W^{T_1}: lowering W^{T_1}'s least value
+    # fails its certificate, which shifting weight to it would not
     state = random_sc_state(3, 3, 18)
-    spectra, subset = oracle.transpose_spectra, {"rho": [], "rho_t1": [1]}[target]
+    spectra = oracle.transpose_spectra
+    corrupt = _lower_the_least if target == "witness" else _shift_weight
 
-    def corrupting_spectra(m, subsets, dims):
-        values = spectra(m, subsets, dims).copy()
-        row = [list(s) for s in subsets].index(subset)
-        values[row] = _shift_weight(values[row])
-        return values
+    def corrupting_spectra(m, subsets, dims, **extra):
+        out = spectra(m, subsets, dims, **extra)
+        if target in ("dilation", "witness"):
+            return out._replace(**{target: corrupt(getattr(out, target))})
+        rows = out.transposes.copy()
+        at = [list(s) for s in subsets].index({"rho": [], "rho_t1": [1]}[target])
+        rows[at] = corrupt(rows[at])
+        return out._replace(transposes=rows)
 
     monkeypatch.setattr(oracle, "transpose_spectra", corrupting_spectra)
-    residuals, w_sep = verify.state_residuals(state, np.random.default_rng(18), 20)
+    residuals, w_sep = verify.state_residuals(state)
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert {name for name, entry in checks.items() if not entry["pass"]} == readers
 
@@ -255,7 +273,7 @@ def test_bloch_residuals_peak_memory_stays_near_one_dense_state(parties, dim):
     [
         lambda state: oracle.dense_from_sc(state),
         lambda state: verify.run_suite(state.parties, state.dim, samples=1),
-        lambda state: verify.state_residuals(state, np.random.default_rng(15)),
+        lambda state: verify.state_residuals(state),
     ],
     ids=["dense_from_sc", "run_suite", "state_residuals"],
 )
@@ -274,28 +292,31 @@ def test_size_guard_refuses_before_allocating(monkeypatch, refused):
 
 
 @pytest.mark.parametrize(
-    "check, subset",
+    "check, subset, extra",
     [
-        (verify.state_spectrum_residual, ()),
-        (verify.relative_entropy_residual, ()),
-        (verify.negativity_residual, (1,)),
+        (verify.state_spectrum_residual, (), []),
+        (verify.relative_entropy_residual, (), []),
+        (verify.negativity_residual, (1,), []),
+        (verify.realignment_residual, None, ["dilation"]),
+        (verify.witness_certificate, None, ["witness"]),
     ],
-    ids=["state_spectrum", "relative_entropy", "negativity"],
+    ids=["state_spectrum", "relative_entropy", "negativity", "realignment", "witness"],
 )
 @pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (6, 2)])
 def test_a_check_called_alone_diagonalises_only_the_row_it_reads(
-    monkeypatch, check, subset, parties, dim
+    monkeypatch, check, subset, extra, parties, dim
 ):
     spectra, calls = oracle.transpose_spectra, []
 
-    def counted_spectra(m, subsets, dims):
-        calls.append([tuple(s) for s in subsets])
-        return spectra(m, subsets, dims)
+    def counted_spectra(m, subsets, dims, **kwargs):
+        calls.append(([tuple(s) for s in subsets], sorted(kwargs)))
+        return spectra(m, subsets, dims, **kwargs)
 
     monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
     state = random_sc_state(parties, dim, 19)
     residual = check(state)
-    assert calls == [[subset]]
+    # one transpose or none, and the one extra row the check reads
+    assert calls == [([] if subset is None else [subset], extra)]
     assert residual <= verify.RELATIVE_ENTROPY_TOL_FLOOR
     # the row is the one the shared stack holds
     assert residual == check(state, dense=verify._DenseViews(state, shared=True))
@@ -459,3 +480,93 @@ def test_bloch_residuals_catch_a_nonzero_of_rho_outside_the_expansion(monkeypatc
     assert verify.bloch_residuals(state, [1, 2]) <= 1e-12
     monkeypatch.setattr(oracle, "dense_from_sc", extra)
     assert verify.bloch_residuals(state, [1, 2]) >= 1e-6
+
+
+def _lower_diagonal_weight(monkeypatch, weight):
+    """Patch ``build_witness`` to give its diagonal terms ``weight`` in place of 0.5.
+
+    Those terms lie off the state's support, so Tr[W rho] is unchanged, but
+    each pair's 2 x 2 block of W^{T_1} has eigenvalues weight +- 0.5.
+    """
+    original = separability.build_witness
+
+    def lowered(state):
+        w = original(state)
+        terms = tuple((r, c, weight + 0j if r == c else v) for r, c, v in w.terms)
+        return dataclasses.replace(w, terms=terms)
+
+    monkeypatch.setattr(separability, "build_witness", lowered)
+
+
+@pytest.mark.parametrize("weight", [0.45, 0.49, 0.499])
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (4, 3)])
+def test_state_residuals_fail_a_witness_with_a_lowered_diagonal_weight(
+    monkeypatch, weight, parties, dim
+):
+    state = random_sc_state(parties, dim, 1840)
+    _lower_diagonal_weight(monkeypatch, weight)
+    residuals, w_sep = verify.state_residuals(state)
+    checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
+    assert {name for name, entry in checks.items() if not entry["pass"]} == {"witness"}
+    assert checks["witness"]["max_residual"] <= 1e-12
+    assert w_sep == pytest.approx(weight - 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (6, 2)])
+def test_state_residuals_make_one_jacobi_call(monkeypatch, parties, dim):
+    jacobi, calls = oracle._jacobi, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return jacobi(*args)
+
+    monkeypatch.setattr(oracle, "_jacobi", counted)
+    # no realigned copy, no second trace-norm pass and no product-state samples
+    for name in ("realign", "trace_norm", "hermitian_eigen", "partial_transpose"):
+        monkeypatch.setattr(oracle, name, _refuse(name))
+    monkeypatch.setattr(verify, "random_product_mixture", _refuse("random_product_mixture"))
+    state = random_sc_state(parties, dim, 1841)
+    residuals, w_sep = verify.state_residuals(state)
+    # rho, its 2^(k-1) - 1 party-1 transposes and W^{T_1}, then the dilation
+    n = dim**parties
+    assert calls == [(n,) * (2 ** (parties - 1) + 1) + (dim**2 + n**2 // dim**2,)]
+    checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
+    assert all(entry["pass"] for entry in checks.values())
+
+
+def test_state_residuals_peak_memory_stays_near_one_dense_state():
+    # full rank at (5, 4), split 2: no realigned copy of rho and one read of
+    # its nonzeros
+    state = random_sc_state(5, 4, 1842)
+    assert np.linalg.matrix_rank(state.a) == 4
+    rho_bytes = 16 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        residuals, w_sep = verify.state_residuals(state, [2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
+    assert all(entry["pass"] for entry in checks.values())
+    assert peak <= 1.25 * rho_bytes
+
+
+@pytest.mark.parametrize("parties, dim", [(3, 2), (3, 3), (4, 2)])
+def test_bloch_residuals_read_the_shared_gather_of_rho(parties, dim):
+    state = random_sc_state(parties, dim, 1843)
+    shared = verify._DenseViews(state, shared=True)
+    alone = verify.bloch_residuals(state, range(1, parties))
+    assert verify.bloch_residuals(state, range(1, parties), dense=shared) == alone
+    # the positions the stacked call gathered are rho's nonzeros
+    assert shared.nonzeros is shared._stacked.keys
+    assert np.array_equal(shared.nonzeros, np.flatnonzero(shared.rho != 0))
+
+
+def test_witness_certificate_bounds_the_sampled_minimum():
+    # lambda_min(W^{T_1}) is a lower bound on Tr[W sigma] over product states
+    for seed in range(5):
+        state = random_sc_state(3, 2, 1844 + seed)
+        bound = verify.witness_certificate(state)
+        _, sampled = verify.witness_residuals(state, np.random.default_rng(seed), 200)
+        assert -1e-15 <= -bound <= 1e-15
+        assert sampled >= bound
