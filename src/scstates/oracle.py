@@ -10,9 +10,9 @@ only a matrix's nonzero entries and rotates each connected component of
 their pattern as a compact block, stacking blocks of one size from
 matrices of any sides: :func:`hermitian_eigen` diagonalises one matrix
 that way, :func:`transpose_spectra` many partial transposes of one matrix
-without building any of them (and, in the same call, the Hermitian
-dilation of its realignment and a witness's partial transpose, read from
-positions alone), and :func:`trace_norm` the Hermitian dilation of a
+without building any of them, :func:`state_spectra` those and, in the
+same call, the Hermitian dilation of its realignment and a witness's
+partial transpose, read from positions alone, and :func:`trace_norm` the Hermitian dilation of a
 rectangular matrix.  The relative entropy is taken to a
 diagonal sigma, whose eigenvectors are the basis vectors, so it needs no
 eigenvectors either.
@@ -486,11 +486,10 @@ def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarra
 
 
 class StateSpectra(NamedTuple):
-    """What :func:`transpose_spectra` returns when asked for more than the
-    partial transposes: their rows; the dilation's and the witness's rows,
-    each None if not asked for; and the positions of the nonzeros of ``m``
-    that the one gather read (its pattern OR-ed with its transpose,
-    ascending, row-major)."""
+    """What :func:`state_spectra` returns: the partial transposes' rows; the
+    dilation's and the witness's rows, each None if not asked for; and the
+    positions of the nonzeros of ``m`` that the one gather read (its
+    pattern OR-ed with its transpose, ascending, row-major)."""
 
     transposes: np.ndarray
     dilation: object
@@ -498,7 +497,7 @@ class StateSpectra(NamedTuple):
     keys: np.ndarray
 
 
-def transpose_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None):
+def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
     """Ascending Jacobi eigenvalues of the partial transpose of ``m`` over each
     subset, shape (len(subsets), N), row i for ``subsets[i]``.
 
@@ -511,10 +510,16 @@ def transpose_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=N
     the transposes in one sweep loop.  An empty subset transposes no party:
     its row is ``hermitian_eigen(m)``.  Other subsets must
     be proper, and errors are those of :func:`hermitian_eigen` and
-    :func:`partial_transpose`.
+    :func:`partial_transpose`.  The rows of :func:`state_spectra`, which
+    does the work.
+    """
+    return state_spectra(m, subsets, dims).transposes
 
-    The same sweep loop takes two more matrices on request, and then a
-    :class:`StateSpectra` is returned:
+
+def state_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None) -> StateSpectra:
+    """The rows :func:`transpose_spectra` gives, and up to two more matrices
+    diagonalised in the same :func:`_jacobi` sweep loop, as a
+    :class:`StateSpectra`:
     - ``dilation=True``: the Hermitian dilation [[0, R], [R^dag, 0]] of
       R = ``realign(m, dims[0], prod(dims[1:]))``, its positions mapped
       from those of the gathered nonzeros (:func:`_realigned_keys`), so R
@@ -566,8 +571,6 @@ def transpose_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=N
         values.append(np.concatenate([entries, entries.conj()])[order])
     spectra = _jacobi(tuple(sides), tuple(sizes), np.concatenate(stacked), np.concatenate(values))
     rows = spectra[: len(subsets) * total].reshape(len(subsets), total)
-    if not dilation and witness is None:
-        return rows
     at = rows.size + (total if witness is not None else 0)
     return StateSpectra(
         rows,
@@ -579,7 +582,7 @@ def transpose_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=N
 
 @functools.lru_cache(maxsize=64)
 def _valid_subsets(subsets: tuple, parties: int) -> tuple:
-    """The subsets :func:`transpose_spectra` was given, each normalised by
+    """The subsets :func:`state_spectra` was given, each normalised by
     :func:`normalize_party_subset` as a proper subset, or () if empty."""
     return tuple(normalize_party_subset(s, parties, proper=True) if s else () for s in subsets)
 

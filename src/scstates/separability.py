@@ -16,7 +16,6 @@ cross-checks, and only it reads the size guard.  The dense routes in
 quantities from the explicit matrices for cross-validation.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +87,11 @@ class Witness:
     (party 1 most significant); the triple list is closed under Hermitian
     conjugation (r, c, v) <-> (c, r, conj(v)).  ``source_pairs`` records
     the coefficient pairs (m, n), m < n, the witness was built from.
-    ``support_terms``, if given, lists in ascending order the indices of
-    the only terms whose row and column can both be repeated indices
-    |m...m>, the terms that can meet an SC state's support;
-    :func:`witness_expectation` then reads those alone.  None (the
-    default) makes it test every term.
     """
 
     dims: tuple
     terms: tuple
     source_pairs: tuple
-    support_terms: tuple = None
 
     @property
     def total_dim(self) -> int:
@@ -151,18 +144,14 @@ def build_witness(state: SCState) -> Witness:
             (m * unit, j * unit, v),
             (j * unit, m * unit, v_conj),
         ]
-    end = 4 * len(pairs)  # the last two terms of each pair's four
-    support = tuple(itertools.chain.from_iterable(zip(range(2, end, 4), range(3, end, 4))))
-    return Witness((n,) * k, tuple(terms), tuple(pairs), support_terms=support)
+    return Witness(dims=(n,) * k, terms=tuple(terms), source_pairs=tuple(pairs))
 
 
 def witness_expectation(w: Witness, target: SCState) -> float:
     """Expectation value Tr[W target] on an SC state, in closed form.
 
     Only terms (r, c, v) with both indices repeated, r = |m...m> and
-    c = |n...n>, meet the state's support; each adds v a_nm, in term
-    order.  Of a witness that lists them (``support_terms``, as
-    :func:`build_witness` does), only those 2 P terms are read.  Any fully
+    c = |n...n>, meet the state's support; each adds v a_nm.  Any fully
     separable target gives a nonnegative result up to round-off; the
     witness's own source state gives -sum_{m<n}|a_mn|.  A dense target is
     evaluated by :func:`scstates.verify.witness_residuals` instead.
@@ -177,8 +166,7 @@ def witness_expectation(w: Witness, target: SCState) -> float:
     unit = repeated_basis_index(1, target.parties, target.dim)
     a = target.a.tolist()  # Python complex products and sums have numpy's bits
     total = 0.0 + 0.0j
-    terms = w.terms if w.support_terms is None else map(w.terms.__getitem__, w.support_terms)
-    for r, c, v in terms:
+    for r, c, v in w.terms:
         m_row, off = divmod(c, unit)  # rho[c, r]
         if off:
             continue

@@ -9,7 +9,8 @@ disagreement.  ``state_residuals`` runs them all on one state (``analyze
 check takes an optional ``dense``, the :class:`_DenseViews` through which
 ``state_residuals`` shares rho, its nonzeros, the witness and one stacked
 Jacobi call among them; a check called without it builds what it reads
-itself.
+itself.  Either way the size guard on N^k is read before anything is
+built.
 
 The witness is certified rather than sampled: W^{T_1} >= 0 makes
 Tr[W sigma] = Tr[W^{T_1} sigma^{T_1}] >= lambda_min(W^{T_1}) for every
@@ -52,7 +53,7 @@ class _DenseViews:
 
     ``state_residuals`` hands one made with ``shared=True`` to all its
     checks, so rho and the witness are built once, and one
-    ``oracle.transpose_spectra`` call, one gather of rho's nonzeros and
+    ``oracle.state_spectra`` call, one gather of rho's nonzeros and
     one ``_jacobi`` sweep loop, diagonalises everything the checks read:
     rho and all its partial transposes over subsets holding party 1
     (:func:`_first_party_subsets`, made once per k), the Hermitian
@@ -61,12 +62,17 @@ class _DenseViews:
     sigma is diagonal and never diagonalised.  A check called on its own
     makes its own, which diagonalises only the row the check reads: rho
     for the state spectrum and the relative entropy, rho^{T_1} for the
-    negativity, the dilation for the realignment, W^{T_1} for the witness
-    certificate; the PT-spectrum check reads all the transposes either
-    way.  Nothing here outlives the call that made it.
+    negativity (these through ``oracle.transpose_spectra``), the dilation
+    for the realignment, W^{T_1} for the witness certificate; the
+    PT-spectrum check reads all the transposes either way.  The size
+    guard is read first, when the view is made.  Nothing here outlives
+    the call that made it.
     """
 
     def __init__(self, state: SCState, *, shared: bool = False):
+        # before anything is built: the subsets, the witness's index arrays
+        # and rho all grow with N^k, which can pass int64 for a valid state
+        oracle.check_size_guard(state.dim**state.parties)
         self.state = state
         self.shared = shared
 
@@ -82,9 +88,15 @@ class _DenseViews:
         rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
         return w, rows, cols, np.array(values, dtype=complex)
 
-    def _spectra(self, subsets, **extra):
-        dims = [self.state.dim] * self.state.parties
-        return oracle.transpose_spectra(self.rho, subsets, dims, **extra)
+    @property
+    def _dims(self) -> list:
+        return [self.state.dim] * self.state.parties
+
+    def _transposed(self, subsets) -> np.ndarray:
+        return oracle.transpose_spectra(self.rho, subsets, self._dims)
+
+    def _spectra(self, subsets, **extra) -> oracle.StateSpectra:
+        return oracle.state_spectra(self.rho, subsets, self._dims, **extra)
 
     @cached_property
     def _stacked(self) -> oracle.StateSpectra:
@@ -98,16 +110,16 @@ class _DenseViews:
         of rho^{T_S} for each proper subset S holding party 1, [1] first."""
         if self.shared:
             return self._stacked.transposes
-        return self._spectra(_first_party_subsets(self.state.parties))
+        return self._transposed(_first_party_subsets(self.state.parties))
 
     @cached_property
     def rho_values(self) -> np.ndarray:
-        return self.transposes[0] if self.shared else self._spectra([()])[0]
+        return self.transposes[0] if self.shared else self._transposed([()])[0]
 
     @cached_property
     def pt1_values(self) -> np.ndarray:
         """The spectrum of rho^{T_1}."""
-        return self.transposes[1] if self.shared else self._spectra([(1,)])[0]
+        return self.transposes[1] if self.shared else self._transposed([(1,)])[0]
 
     @property
     def pt_values(self) -> np.ndarray:
@@ -142,20 +154,21 @@ def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
     """Closed-form PT spectrum vs dense eigenvalues, over all proper subsets.
 
     Only the 2^(k-1) - 1 subsets S holding party 1 are diagonalised, all
-    in one ``oracle.transpose_spectra`` call: rho^{T_{S^c}} =
+    in one ``oracle.transpose_spectra`` call (or, under ``state_residuals``,
+    as rows of its one ``oracle.state_spectra`` call): rho^{T_{S^c}} =
     (rho^{T_S})^T = conj(rho^{T_S}), with the same Jacobi values.
     """
-    values = (dense or _DenseViews(state)).pt_values  # the size guard before the padding zeros
+    dense = dense or _DenseViews(state)
     spectrum = separability.pt_spectrum(state)
     pairs, zeros = spectrum.pair_magnitudes, np.zeros(spectrum.zero_multiplicity)
     expected = np.sort(np.concatenate([spectrum.diagonal, pairs, -pairs, zeros]))
-    return float(np.abs(values - expected).max())
+    return float(np.abs(dense.pt_values - expected).max())
 
 
 def realignment_residual(state: SCState, *, dense=None) -> float:
     """Sum-of-moduli closed form vs the trace norm of the realigned dense
     matrix (party 1 | rest), half the sum of the moduli of the Jacobi
-    spectrum of its Hermitian dilation, which ``oracle.transpose_spectra``
+    spectrum of its Hermitian dilation, which ``oracle.state_spectra``
     writes from rho's nonzeros: the value ``oracle.trace_norm(
     oracle.realign(rho, N, N^(k-1)))`` gives, with no realigned copy."""
     dense = dense or _DenseViews(state)
@@ -230,14 +243,28 @@ def random_product_mixture(parties: int, dim: int, rng, samples: int):
 _SAMPLE_BLOCK_BYTES = 1 << 20
 
 
+def witness_expectation_residual(state: SCState, *, dense=None) -> float:
+    """Closed-vs-dense residual on Tr[W rho] for the state's witness W.
+
+    Compares both evaluation routes against the exact target
+    -sum_{m<n}|a_mn|: the closed form on the coefficients and the sum of
+    v rho[c, r] over the witness's sparse terms (r, c, v) against the
+    dense rho.  An empty witness gives 0.0.
+    """
+    dense = dense or _DenseViews(state)
+    w, rows, cols, values = dense.witness
+    target = -float(sum(abs(state.a[m, j]) for m, j in w.source_pairs))
+    closed = separability.witness_expectation(w, state)
+    on_rho = float((values * dense.rho[cols, rows]).sum().real)
+    return max(abs(closed - target), abs(on_rho - target))
+
+
 def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dense=None):
     """(closed-vs-dense residual on Tr[W rho], min Tr[W sigma] over samples).
 
-    The first number compares both evaluation routes against the exact
-    target -sum_{m<n}|a_mn|: the closed form on the coefficients and the
-    sum of v rho[c, r] over the witness's sparse terms (r, c, v) against
-    the dense rho.  The second must stay >= -tol for the witness
-    to be valid on separable states.  Tr[W sigma] is linear in sigma, so
+    The first number is :func:`witness_expectation_residual`.  The second
+    must stay >= -tol for the witness to be valid on separable states.
+    Tr[W sigma] is linear in sigma, so
     its minimum over the fully separable states is reached on product
     pure states (a mixture never reads below its lowest component).  It
     draws ``separable_samples`` product vectors v with one
@@ -245,17 +272,14 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dens
     x v[c] conj(v[r]) over the terms (r, c, x), with each entry of v the
     product of the local factors at the index's base-N digits (no dense
     sigma, no SC shortcut).  An empty witness gives 0.0 and no samples
-    give inf.  ``state_residuals`` takes the first number only, and
-    :func:`witness_certificate` in place of the second.
+    give inf.  ``state_residuals`` reads :func:`witness_certificate` in
+    place of the second.
     """
     dense = dense or _DenseViews(state)
-    w, rows, cols, values = dense.witness
-    target = -float(sum(abs(state.a[m, j]) for m, j in w.source_pairs))
-    closed = separability.witness_expectation(w, state)
-    on_rho = float((values * dense.rho[cols, rows]).sum().real)
-    residual = max(abs(closed - target), abs(on_rho - target))
+    residual = witness_expectation_residual(state, dense=dense)
     if separable_samples < 1:
         return residual, float("inf")
+    _, rows, cols, values = dense.witness
 
     k, n = state.parties, state.dim
     local = random_product_mixture(k, n, rng, separable_samples)
@@ -450,14 +474,15 @@ def state_residuals(
     """(residual per check, lambda_min(W^{T_1})) for every oracle check on one state.
 
     The checks share one :class:`_DenseViews`: rho and the witness are
-    built once, and one ``oracle.transpose_spectra`` call, so one gather
+    built once, and one ``oracle.state_spectra`` call, so one gather
     of rho's nonzeros and one ``_jacobi`` call, covers every spectrum,
     whatever k: rho's, those of all 2^(k-1) - 1 partial transposes over
     subsets holding party 1, the Hermitian dilation of the realigned rho
     and W^{T_1}.  The Bloch check reads rho's nonzeros from that gather,
     the diagonal sigma of the relative entropy is never diagonalised, and
     the witness is certified by :func:`witness_certificate`, so nothing
-    is sampled.  The residual functions are looked up by their
+    is sampled.  The size guard is read first, before any of it is
+    built.  The residual functions are looked up by their
     module-global names on each call, so patching one of them in this
     module reaches every caller.
     """
@@ -468,7 +493,7 @@ def state_residuals(
         "negativity": negativity_residual(state, dense=dense),
         "relative_entropy": relative_entropy_residual(state, dense=dense),
         "state_spectrum": state_spectrum_residual(state, dense=dense),
-        "witness": witness_residuals(state, None, 0, dense=dense)[0],
+        "witness": witness_expectation_residual(state, dense=dense),
         "bloch": bloch_residuals(state, splits, tol=tol, dense=dense),
     }
     return residuals, witness_certificate(state, dense=dense)

@@ -451,6 +451,16 @@ def test_size_guard_env_blocks_dense_work(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("parties", [30, 64])
+def test_size_guard_refuses_a_huge_state_with_exit_4(capsys, tmp_path, monkeypatch, parties):
+    # N^k = 2^30 and 2^64 (past int64): refused before anything of that size
+    monkeypatch.delenv("SC_SIZE_GUARD", raising=False)
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_state(random_sc_state(parties, 2, 17)))
+    code, _, err = run_cli(capsys, "analyze", str(path), "--oracle")
+    assert code == 4 and "guard" in err
+
+
 def test_size_guard_default_blocks_big_suite(capsys):
     code, _, err = run_cli(capsys, "oracle-verify", "--k", "6", "--N", "4")
     assert code == 4 and "4096" in err

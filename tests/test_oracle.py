@@ -37,6 +37,7 @@ from scstates.oracle import (
     reduced_density,
     relative_entropy_dense,
     repeated_basis_index,
+    state_spectra,
     su_generators,
     trace_norm,
     transpose_spectra,
@@ -909,7 +910,7 @@ def _witness_terms(state):
 
 
 @pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (4, 3), (6, 2), (3, 4)])
-def test_transpose_spectra_extra_rows_match_their_dense_routes(parties, dim):
+def test_state_spectra_extra_rows_match_their_dense_routes(parties, dim):
     # the realignment's dilation gives trace_norm(realign(rho)) exactly, and
     # W^{T_1} the Jacobi values of the dense transpose of W's dense form;
     # the transposes are unchanged by what is stacked with them
@@ -917,7 +918,7 @@ def test_transpose_spectra_extra_rows_match_their_dense_routes(parties, dim):
     rho, dims = dense_from_sc(state), [dim] * parties
     w, rows, cols, values = _witness_terms(state)
     subsets = verify._first_party_subsets(parties)
-    out = transpose_spectra(rho, subsets, dims, dilation=True, witness=(rows, cols, values))
+    out = state_spectra(rho, subsets, dims, dilation=True, witness=(rows, cols, values))
     assert np.array_equal(out.transposes, transpose_spectra(rho, subsets, dims))
     realigned = realign(rho, dim, dim ** (parties - 1))
     assert out.dilation.size == sum(realigned.shape)
@@ -925,10 +926,10 @@ def test_transpose_spectra_extra_rows_match_their_dense_routes(parties, dim):
     assert np.array_equal(out.witness, hermitian_eigen(partial_transpose(w.to_dense(), [1], dims)))
     assert np.array_equal(out.keys, np.flatnonzero(rho != 0))
     # each row alone is the same row
-    alone = transpose_spectra(rho, [], dims, dilation=True)
+    alone = state_spectra(rho, [], dims, dilation=True)
     assert alone.transposes.shape == (0, dim**parties) and alone.witness is None
     assert np.array_equal(alone.dilation, out.dilation)
-    alone = transpose_spectra(rho, [], dims, witness=(rows, cols, values))
+    alone = state_spectra(rho, [], dims, witness=(rows, cols, values))
     assert alone.dilation is None and np.array_equal(alone.witness, out.witness)
 
 

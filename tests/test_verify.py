@@ -157,25 +157,26 @@ def test_pt_spectrum_residual_diagonalises_one_of_each_complementary_pair(
 def test_state_residuals_diagonalise_rho_and_its_first_party_transpose_once(
     monkeypatch, parties, dim
 ):
-    eigen, spectra, calls = oracle.hermitian_eigen, oracle.transpose_spectra, []
+    eigen, spectra, calls = oracle.hermitian_eigen, oracle.state_spectra, []
 
     def counted_eigen(m, **kwargs):
         calls.append("hermitian_eigen")
         return eigen(m, **kwargs)
 
     def counted_spectra(m, subsets, dims, **extra):
-        calls.append(("transpose_spectra", sorted(extra)))
+        calls.append(("state_spectra", sorted(extra)))
         return spectra(m, subsets, dims, **extra)
 
     monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
-    monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
+    # transpose_spectra reads its rows from state_spectra, so this sees both
+    monkeypatch.setattr(oracle, "state_spectra", counted_spectra)
     monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     state = random_sc_state(parties, dim, 17)
     residuals, w_sep = verify.state_residuals(state)
     # rho with all its transposes (rho^{T_1} among them), the realignment's
     # dilation and W^{T_1} in one call, whatever k; the diagonal sigma is
     # not diagonalised
-    assert calls == [("transpose_spectra", ["dilation", "witness"])]
+    assert calls == [("state_spectra", ["dilation", "witness"])]
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert all(entry["pass"] for entry in checks.values())
 
@@ -212,7 +213,7 @@ def test_state_residuals_hand_each_shared_spectrum_to_every_check_that_reads_it(
     # realignment's dilation or of W^{T_1}: lowering W^{T_1}'s least value
     # fails its certificate, which shifting weight to it would not
     state = random_sc_state(3, 3, 18)
-    spectra = oracle.transpose_spectra
+    spectra = oracle.state_spectra
     corrupt = _lower_the_least if target == "witness" else _shift_weight
 
     def corrupting_spectra(m, subsets, dims, **extra):
@@ -224,7 +225,7 @@ def test_state_residuals_hand_each_shared_spectrum_to_every_check_that_reads_it(
         rows[at] = corrupt(rows[at])
         return out._replace(transposes=rows)
 
-    monkeypatch.setattr(oracle, "transpose_spectra", corrupting_spectra)
+    monkeypatch.setattr(oracle, "state_spectra", corrupting_spectra)
     residuals, w_sep = verify.state_residuals(state)
     checks = verify.check_entries(residuals, w_sep, separability.DEFAULT_SEP_TOL)
     assert {name for name, entry in checks.items() if not entry["pass"]} == readers
@@ -291,6 +292,35 @@ def test_size_guard_refuses_before_allocating(monkeypatch, refused):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("parties, dim", [(30, 2), (64, 2)])
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda state: verify.state_residuals(state),
+        lambda state: verify.pt_spectrum_residual(state),
+        lambda state: verify.realignment_residual(state),
+        lambda state: verify.witness_certificate(state),
+        lambda state: verify.witness_residuals(state, np.random.default_rng(16), 10),
+        lambda state: verify.bloch_residuals(state, [1]),
+    ],
+    ids=["state_residuals", "pt_spectrum", "realignment", "witness_certificate",
+         "witness_residuals", "bloch"],
+)
+def test_size_guard_refuses_a_huge_state_before_allocating(monkeypatch, refused, parties, dim):
+    # 2^30 would make 2^29 subsets before rho at k = 30; 2^64 passes int64,
+    # so the witness's index arrays would overflow before the guard
+    monkeypatch.delenv("SC_SIZE_GUARD", raising=False)
+    state = random_sc_state(parties, dim, 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            refused(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 @pytest.mark.parametrize(
     "check, subset, extra",
     [
@@ -306,13 +336,14 @@ def test_size_guard_refuses_before_allocating(monkeypatch, refused):
 def test_a_check_called_alone_diagonalises_only_the_row_it_reads(
     monkeypatch, check, subset, extra, parties, dim
 ):
-    spectra, calls = oracle.transpose_spectra, []
+    spectra, calls = oracle.state_spectra, []
 
     def counted_spectra(m, subsets, dims, **kwargs):
         calls.append(([tuple(s) for s in subsets], sorted(kwargs)))
         return spectra(m, subsets, dims, **kwargs)
 
-    monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
+    # transpose_spectra reads its rows from state_spectra, so this sees both
+    monkeypatch.setattr(oracle, "state_spectra", counted_spectra)
     state = random_sc_state(parties, dim, 19)
     residual = check(state)
     # one transpose or none, and the one extra row the check reads
