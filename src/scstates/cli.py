@@ -87,6 +87,8 @@ def _slocc_summary(state):
 
 def cmd_analyze(args) -> int:
     state = _load_state_file(args.input)
+    if args.oracle:  # before any work: the split is read only by the oracle's Bloch check
+        separability._split_size(args.split, state.parties, "--split")
     base = _LOG_BASES[args.log_base]
     tol = args.tol
 

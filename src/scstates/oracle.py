@@ -9,13 +9,13 @@ complex Jacobi (:func:`_jacobi`) that returns eigenvalues only.  It reads
 only a matrix's nonzero entries and rotates each connected component of
 their pattern as a compact block, stacking blocks of one size from
 matrices of any sides: :func:`hermitian_eigen` diagonalises one matrix
-that way, :func:`transpose_spectra` many partial transposes of one matrix
-without building any of them, :func:`state_spectra` those and, in the
-same call, the Hermitian dilation of its realignment and a witness's
-partial transpose, read from positions alone, and :func:`trace_norm` the Hermitian dilation of a
-rectangular matrix.  The relative entropy is taken to a
-diagonal sigma, whose eigenvectors are the basis vectors, so it needs no
-eigenvectors either.
+that way, :func:`state_spectra` many partial transposes of one matrix
+without building any of them and, in the same call, the Hermitian
+dilation of its realignment and a witness's partial transpose, read from
+positions alone, and :func:`trace_norm` the Hermitian dilation of a
+rectangular matrix.  The relative entropy is taken to a diagonal sigma,
+whose eigenvectors are the basis vectors, so it needs no eigenvectors
+either.
 
 Multi-index convention, fixed project-wide: basis states of k parties are
 flattened row-major with party 1 most significant, i.e. ``|i_1 ... i_k>``
@@ -213,28 +213,38 @@ def _symmetrised(entries, mirrored, rows, cols) -> np.ndarray:
     return (entries + mirrored) / 2.0
 
 
+def _closed(positions: np.ndarray, n: int) -> np.ndarray:
+    """The row-major ``positions`` in an n x n matrix and their mirrors,
+    ascending, each once."""
+    keys = np.sort(np.concatenate([positions, positions % n * n + positions // n]))
+    return keys[np.diff(keys, prepend=-1) != 0]  # np.unique(keys) imports numpy.ma, ~1 MB
+
+
 def _hermitian_entries(m) -> tuple:
     """(n, keys, entries) of a square, finite, Hermitian matrix ``m``.
 
     ``keys`` are the flat row-major positions r n + c of the nonzero
     pattern of ``m`` OR-ed with its transpose, ascending, and ``entries``
     the symmetrised (m + m^dag)/2 there (:func:`_symmetrised`, with its
-    errors).  The pattern is read in blocks of rows and of the matching
-    columns whose flags take at most 1 MiB, so no larger temporary is
-    made.
+    errors).  ``m`` is read once, in blocks of rows whose flags take at
+    most 1 MiB, so no larger temporary is made; the pattern is closed
+    under transposition from the mirrored entries, which are gathered
+    anyway, and only a zero among them (a one-sided entry) adds positions.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     n = len(a)
     step = max(1, (1 << 20) // max(1, n))
-    found = [
-        ((a[r : r + step] != 0) | (a[:, r : r + step].T != 0)).ravel().nonzero()[0] + r * n
-        for r in range(0, max(n, 1), step)
-    ]
+    found = [(a[r : r + step] != 0).ravel().nonzero()[0] + r * n for r in range(0, max(n, 1), step)]
     keys = np.concatenate(found)
     rows, cols = np.divmod(keys, n)
-    return n, keys, _symmetrised(a[rows, cols], a[cols, rows], rows, cols)
+    mirrored = a[cols, rows]
+    if not mirrored.all():
+        keys = _closed(keys, n)
+        rows, cols = np.divmod(keys, n)
+        mirrored = a[cols, rows]
+    return n, keys, _symmetrised(a[rows, cols], mirrored, rows, cols)
 
 
 def _term_entries(n: int, rows, cols, values) -> tuple:
@@ -243,35 +253,19 @@ def _term_entries(n: int, rows, cols, values) -> tuple:
     densely, with its errors, but from the terms alone: the values are
     added per position in term order, the terms of a position whose sum
     is 0 are dropped, and the rest is closed under transposition and
-    symmetrised.  Where that puts each term depends only on the positions
-    (:func:`_term_layout`).
+    symmetrised.
     """
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-    keys, at, mirror = _term_layout((rows * n + cols).tobytes(), n)
+    positions = rows * n + cols
+    keys = _closed(positions, n)
+    at = keys.searchsorted(positions)
     summed = np.zeros(keys.size, dtype=complex)
     np.add.at(summed, at, values)
     if not summed[at].all():
         keep = summed[at] != 0
         return _term_entries(n, rows[keep], cols[keep], np.asarray(values)[keep])
     rows, cols = np.divmod(keys, n)
-    return keys, _symmetrised(summed, summed[mirror], rows, cols)
-
-
-@functools.lru_cache(maxsize=64)
-def _term_layout(positions: bytes, n: int) -> tuple:
-    """(keys, at, mirror), read-only, for terms at the row-major positions
-    ``positions`` (the bytes of an int array, in term order) of an n x n
-    matrix: the distinct positions closed under transposition, ascending;
-    the index among them of each term's position; and that of each one's
-    mirror.  Kept for the last 64 patterns."""
-    positions = np.frombuffer(positions, dtype=int)
-    keys = np.sort(np.concatenate([positions, positions % n * n + positions // n]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique(keys) imports numpy.ma, ~1 MB
-    rows, cols = np.divmod(keys, n)
-    out = (keys, keys.searchsorted(positions), keys.searchsorted(cols * n + rows))
-    for array in out:
-        array.setflags(write=False)
-    return out
+    return keys, _symmetrised(summed, summed[keys.searchsorted(cols * n + rows)], rows, cols)
 
 
 def _components(src, dst) -> list:
@@ -320,8 +314,9 @@ def _block_layout(sides: tuple, sizes: tuple, pattern: bytes) -> tuple:
     Vertex s_i + r is row r of matrix i, s_i the sum of the sides before
     it.  All blocks live in one flat buffer,
     ``np.concatenate([entries, [0]]).take(index)`` for the entries in
-    ``pattern`` order.  Returns (index, stacks, upper_at, owner, diagonal,
-    vertex, within, members, norm_runs, sort_runs):
+    ``pattern`` order.  Returns (total, index, stacks, upper_at, owner,
+    diagonal, vertex, within, members, norm_runs, sort_runs), ``total``
+    the sum of the sides and
     - ``stacks``, per block size c, ascending: (start, stop, shape,
       owners, pairs), the buffer slice of the stack and its shape
       (blocks, c, c); the matrix of each block; and the pairs (p, q),
@@ -371,15 +366,16 @@ def _block_layout(sides: tuple, sizes: tuple, pattern: bytes) -> tuple:
     vertex = vertex[diagonal]
     for array in [index, upper_at, owner, diagonal, vertex, within, members]:
         array.setflags(write=False)
-    layout = index, tuple(stacks), upper_at, owner, diagonal, vertex, within, members
+    layout = total, index, tuple(stacks), upper_at, owner, diagonal, vertex, within, members
     return layout + (_runs(sizes), _runs(sides))
 
 
-def _jacobi(sides: tuple, sizes: tuple, keys: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Cyclic complex Jacobi on Hermitian matrices of any ``sides`` at once.
+def _jacobi(layout: tuple, entries: np.ndarray) -> np.ndarray:
+    """Cyclic complex Jacobi on Hermitian matrices of any sides at once.
 
-    Matrix i holds sizes[i] of the ``entries`` at as many ascending
-    row-major positions of ``keys`` (closed under transposition, entries
+    ``layout`` is :func:`_block_layout` of their sides, their sizes and
+    their pattern: matrix i holds sizes[i] of the ``entries`` at as many
+    ascending row-major positions (closed under transposition, entries
     symmetrised), after those of the matrices before it.  Each connected
     component of a matrix's pattern is rotated as a compact c x c block: a
     rotation on (p, q) rewrites only rows and columns p and q, so entries
@@ -394,13 +390,12 @@ def _jacobi(sides: tuple, sizes: tuple, keys: np.ndarray, entries: np.ndarray) -
     A matrix has converged when its off-diagonal Frobenius norm is at most
     1e-12 times its norm; one still above after 100 sweeps raises
     :class:`EigenConvergenceError`.  Returns every matrix's eigenvalues,
-    ascending, one after the other: sum(sides) values.  This is the
+    ascending, one after the other: ``total`` values.  This is the
     oracle's one rotation loop: eigenvalues, partial-transpose spectra
     and trace norms all come from it.
     """
-    count = len(sides)
-    layout = _block_layout(sides, sizes, keys.tobytes())
-    index, stacks, upper_at, owner, diagonal, vertex, within, members, norm_runs, sort_runs = layout
+    (total, index, stacks, upper_at, owner, diagonal, vertex, within, members,
+     norm_runs, sort_runs) = layout
     buffer = np.concatenate([entries, [0.0]]).take(index)
     blocks = [buffer[start:stop].reshape(shape) for start, stop, shape, *_ in stacks]
     square = np.square(entries.view(float))  # a run's norms are the rows of one reduction
@@ -410,7 +405,7 @@ def _jacobi(sides: tuple, sizes: tuple, keys: np.ndarray, entries: np.ndarray) -
     limit = conv_tol * norms
     for sweep in range(101 if stacks else 0):  # no coupled pair: nothing to rotate
         square = np.square(buffer.take(upper_at).view(float))
-        off = np.sqrt(2.0 * np.bincount(owner, square, minlength=count))
+        off = np.sqrt(2.0 * np.bincount(owner, square, minlength=norms.size))
         live = off > limit
         above = live.nonzero()[0]
         if not above.size:
@@ -434,7 +429,7 @@ def _jacobi(sides: tuple, sizes: tuple, keys: np.ndarray, entries: np.ndarray) -
                     part = x[hit]
                     _rotate_pair(part, p, q)
                     x[hit] = part
-    values = np.zeros(sum(sides))
+    values = np.zeros(total)
     values[vertex] = entries[diagonal].real
     values[members] = buffer[within].real
     for a, b, c, side in sort_runs:
@@ -468,7 +463,7 @@ def hermitian_eigen(m: np.ndarray) -> np.ndarray:
     row-major order, before any sweep.
     """
     n, keys, entries = _hermitian_entries(m)
-    return _jacobi((n,), (keys.size,), keys, entries)
+    return _jacobi(_block_layout((n,), (keys.size,), keys.tobytes()), entries)
 
 
 def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarray:
@@ -497,29 +492,21 @@ class StateSpectra(NamedTuple):
     keys: np.ndarray
 
 
-def transpose_spectra(m: np.ndarray, subsets, dims) -> np.ndarray:
-    """Ascending Jacobi eigenvalues of the partial transpose of ``m`` over each
-    subset, shape (len(subsets), N), row i for ``subsets[i]``.
-
-    Row i is bit-identical to ``hermitian_eigen(partial_transpose(m,
-    subsets[i], dims))``, but no transpose is built: the
-    nonzeros of ``m`` are gathered, checked and symmetrised once (a partial
-    transpose sends an entry and its mirror to an entry and its mirror, so
-    this gives the bits of doing it on each transpose), their positions
-    are mapped to each transpose's, and :func:`_jacobi` diagonalises all
-    the transposes in one sweep loop.  An empty subset transposes no party:
-    its row is ``hermitian_eigen(m)``.  Other subsets must
-    be proper, and errors are those of :func:`hermitian_eigen` and
-    :func:`partial_transpose`.  The rows of :func:`state_spectra`, which
-    does the work.
-    """
-    return state_spectra(m, subsets, dims).transposes
-
-
 def state_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None) -> StateSpectra:
-    """The rows :func:`transpose_spectra` gives, and up to two more matrices
-    diagonalised in the same :func:`_jacobi` sweep loop, as a
-    :class:`StateSpectra`:
+    """Ascending Jacobi eigenvalues of the partial transposes of ``m`` over
+    each subset, and of up to two more matrices, all from one gather of the
+    nonzeros of ``m`` and one :func:`_jacobi` sweep loop, as a
+    :class:`StateSpectra`.
+
+    ``transposes`` has shape (len(subsets), N), row i bit-identical to
+    ``hermitian_eigen(partial_transpose(m, subsets[i], dims))``, but no
+    transpose is built: the nonzeros of ``m`` are gathered, checked and
+    symmetrised once (a partial transpose sends an entry and its mirror to
+    an entry and its mirror, so this gives the bits of doing it on each
+    transpose) and their positions mapped to each transpose's.  An empty
+    subset transposes no party: its row is ``hermitian_eigen(m)``.  Other
+    subsets must be proper, and errors are those of
+    :func:`hermitian_eigen` and :func:`partial_transpose`.  On request:
     - ``dilation=True``: the Hermitian dilation [[0, R], [R^dag, 0]] of
       R = ``realign(m, dims[0], prod(dims[1:]))``, its positions mapped
       from those of the gathered nonzeros (:func:`_realigned_keys`), so R
@@ -530,13 +517,9 @@ def state_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None)
       from the terms alone (:func:`_term_entries`); the row is
       bit-identical to ``hermitian_eigen(partial_transpose(W, [1], dims))``.
 
-    What depends only on the subsets and on a nonzero pattern is kept,
-    read-only, for the last 64 of each, as the Jacobi block layout is: the
-    validated subsets (:func:`_valid_subsets`), the transposed positions
-    with the order that sorts them (:func:`_transposed_keys`, also for
-    W's pattern) and the dilation's (:func:`_dilation_keys`).  So another
-    state of one shape and rank pays only for reading its entries and for
-    the sweeps.
+    Everything else is the :func:`_plan` of the patterns of ``m`` and W,
+    so another state of one shape and rank pays only for reading its
+    entries, summing W's terms, one gather of the values and the sweeps.
     """
     dims = tuple(int(d) for d in dims)
     total = math.prod(dims)
@@ -545,31 +528,17 @@ def state_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None)
             f"matrix shape {np.shape(m)} does not match party dimensions {dims} "
             f"(product {total})"
         )
-    subsets = _valid_subsets(tuple(map(tuple, subsets)), len(dims))
     _, keys, entries = _hermitian_entries(m)
-    pattern = keys.tobytes()
-    sides, sizes, stacked, values = [], [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    if subsets:
-        moved, order = _transposed_keys(pattern, subsets, dims, _partial_transpose_keys)
-        sides += [total] * len(subsets)
-        sizes += [keys.size] * len(subsets)
-        stacked.append(moved.ravel())
-        values.append(entries[order].ravel())
+    source, w_pattern = [entries, entries.conj()], None
     if witness is not None:
         w_keys, w_entries = _term_entries(total, *witness)
-        first = _valid_subsets(((1,),), len(dims))
-        moved, order = _transposed_keys(w_keys.tobytes(), first, dims, _partial_transpose_keys)
-        sides.append(total)
-        sizes.append(w_keys.size)
-        stacked.append(moved[0])
-        values.append(w_entries[order[0]])
-    if dilation:
-        side, moved, order = _dilation_keys(pattern, dims, _realigned_keys)
-        sides.append(side)
-        sizes.append(moved.size)
-        stacked.append(moved)
-        values.append(np.concatenate([entries, entries.conj()])[order])
-    spectra = _jacobi(tuple(sides), tuple(sizes), np.concatenate(stacked), np.concatenate(values))
+        source.append(w_entries)
+        w_pattern = w_keys.tobytes()
+    subsets, gather, layout = _plan(
+        keys.tobytes(), w_pattern, dims, tuple(map(tuple, subsets)), dilation,
+        _partial_transpose_keys, _realigned_keys,
+    )
+    spectra = _jacobi(layout, np.concatenate(source).take(gather))
     rows = spectra[: len(subsets) * total].reshape(len(subsets), total)
     at = rows.size + (total if witness is not None else 0)
     return StateSpectra(
@@ -581,29 +550,55 @@ def state_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None)
 
 
 @functools.lru_cache(maxsize=64)
-def _valid_subsets(subsets: tuple, parties: int) -> tuple:
-    """The subsets :func:`state_spectra` was given, each normalised by
-    :func:`normalize_party_subset` as a proper subset, or () if empty."""
-    return tuple(normalize_party_subset(s, parties, proper=True) if s else () for s in subsets)
+def _plan(
+    pattern: bytes, w_pattern, dims: tuple, subsets: tuple, dilation: bool,
+    transpose_rule, realign_rule,
+) -> tuple:
+    """(subsets, gather, layout), read-only, of a :func:`state_spectra` call
+    on a matrix whose nonzeros sit at the row-major positions ``pattern``
+    and a witness W whose nonzeros sit at ``w_pattern`` (the bytes of
+    ascending int arrays; None for no witness).
 
-
-@functools.lru_cache(maxsize=64)
-def _transposed_keys(pattern: bytes, subsets: tuple, dims: tuple, rule) -> tuple:
-    """(keys, order), read-only: the positions ``rule(pattern keys, subsets,
-    dims)`` gives the entries at the row-major positions ``pattern`` (the
-    bytes of an ascending int array) in each partial transpose, sorted per
-    row, and the order that sorts them.
-
-    ``rule`` is :func:`_partial_transpose_keys` as the caller finds it, so
-    the cache is keyed by the index rule too and a replaced rule is always
-    called.
+    ``subsets`` are those given, each normalised by
+    :func:`normalize_party_subset` as a proper subset, or () if empty.
+    Each matrix's positions are mapped and sorted per matrix, in the order
+    the rows come out: the partial transposes (``transpose_rule``, W^{T_1}
+    by the same), then the dilation (``realign_rule``, its entries then
+    their mirrors, as :func:`_dilated_keys`).  ``gather`` takes each
+    matrix's entries in that order from the gathered entries, their
+    conjugates and W's entries, one after the other, and ``layout`` is the
+    :func:`_block_layout` of it all.  The rules are
+    :func:`_partial_transpose_keys` and :func:`_realigned_keys` as the
+    caller finds them, so a replaced rule is always called.  The last 64
+    plans are kept: one serves every state of one shape and rank.
     """
-    keys = rule(np.frombuffer(pattern, dtype=int), subsets, dims)
-    order = keys.argsort(axis=1)
-    keys = np.sort(keys, axis=1)
-    keys.setflags(write=False)
-    order.setflags(write=False)
-    return keys, order
+    keys = np.frombuffer(pattern, dtype=int)
+    total = math.prod(dims)
+    subsets = tuple(normalize_party_subset(s, len(dims), proper=True) if s else () for s in subsets)
+    sides, parts, gather = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    if subsets:
+        moved = transpose_rule(keys, subsets, dims)
+        order = moved.argsort(axis=1)
+        sides += [total] * len(subsets)
+        parts += list(np.take_along_axis(moved, order, axis=1))
+        gather.append(order.ravel())
+    if w_pattern is not None:
+        moved = transpose_rule(np.frombuffer(w_pattern, dtype=int), ((1,),), dims)[0]
+        order = moved.argsort()
+        sides.append(total)
+        parts.append(moved[order])
+        gather.append(2 * keys.size + order)
+    if dilation:
+        top = dims[0] ** 2
+        sides.append(top + math.prod(dims[1:]) ** 2)
+        moved, order = _dilated_keys(*realign_rule(keys, dims), top, sides[-1])
+        parts.append(moved)
+        gather.append(order)
+    sizes = tuple(part.size for part in parts[1:])
+    layout = _block_layout(tuple(sides), sizes, np.concatenate(parts).tobytes())
+    gather = np.concatenate(gather)
+    gather.setflags(write=False)
+    return subsets, gather, layout
 
 
 def _realigned_keys(keys: np.ndarray, dims: tuple) -> tuple:
@@ -615,27 +610,6 @@ def _realigned_keys(keys: np.ndarray, dims: tuple) -> tuple:
     row, col = np.divmod(keys, dims[0] * rest)
     (row_1, row_rest), (col_1, col_rest) = np.divmod(row, rest), np.divmod(col, rest)
     return row_1 * dims[0] + col_1, row_rest * rest + col_rest
-
-
-@functools.lru_cache(maxsize=64)
-def _dilation_keys(pattern: bytes, dims: tuple, rule) -> tuple:
-    """(side, keys, order), keys and order read-only: the Hermitian dilation
-    H = [[0, R], [R^dag, 0]] of the realigned matrix R, whose entries sit at
-    ``rule(pattern keys, dims)``, (rows, cols) from the row-major positions
-    ``pattern`` (the bytes of an ascending int array).
-
-    ``side`` is R's rows plus columns, ``keys`` are H's positions of R's
-    entries and then of their mirrors, sorted, and ``order`` the order that
-    sorts them.  ``rule`` is :func:`_realigned_keys` as the caller finds
-    it, keyed as in :func:`_transposed_keys`.
-    """
-    rows, cols = rule(np.frombuffer(pattern, dtype=int), dims)
-    top = dims[0] ** 2
-    side = top + math.prod(dims[1:]) ** 2
-    keys, order = _dilated_keys(rows, cols, top, side)
-    keys.setflags(write=False)
-    order.setflags(write=False)
-    return side, keys, order
 
 
 def _dilated_keys(rows, cols, top: int, side: int) -> tuple:
@@ -686,7 +660,8 @@ def trace_norm(m: np.ndarray) -> float:
     entries = _check_finite(m[rows, cols], rows, cols)
     n = sum(m.shape)
     keys, order = _dilated_keys(rows, cols, m.shape[0], n)
-    values = _jacobi((n,), (keys.size,), keys, np.concatenate([entries, entries.conj()])[order])
+    layout = _block_layout((n,), (keys.size,), keys.tobytes())
+    values = _jacobi(layout, np.concatenate([entries, entries.conj()])[order])
     return 0.5 * float(np.abs(values).sum())
 
 

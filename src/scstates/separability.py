@@ -231,6 +231,15 @@ class BlochDecomposition:
         return self.s_diagonal.size + 1
 
 
+def _split_size(split, parties: int, name: str = "split") -> int:
+    """``split`` as an int: the number of parties on the first side of a
+    bipartition, an integer in [1, parties - 1], else ``ValueError`` naming
+    it ``name``.  The one home of that rule."""
+    if int(split) != split or not 1 <= split <= parties - 1:
+        raise ValueError(f"{name} must be an integer in [1, {parties - 1}], got {split}")
+    return int(split)
+
+
 def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     """Compute the Bloch vectors and correlation tensor across a split.
 
@@ -246,9 +255,7 @@ def bloch_decomposition(state: SCState, split: int = 1) -> BlochDecomposition:
     satisfy 1 <= split <= parties - 1.
     """
     k, n = state.parties, state.dim
-    if int(split) != split or not 1 <= split <= k - 1:
-        raise ValueError(f"split must be an integer in [1, {k - 1}], got {split}")
-    split = int(split)
+    split = _split_size(split, k)
     dim_first = n**split
     dim_rest = n ** (k - split)
     a = state.a

@@ -7,9 +7,9 @@ disagreement.  ``state_residuals`` runs them all on one state (``analyze
 --oracle``), ``run_suite`` over random states (``oracle-verify``), and
 ``check_entries`` applies the one tolerance rule to either result.  Each
 check takes an optional ``dense``, the :class:`_DenseViews` through which
-``state_residuals`` shares rho, its nonzeros, the witness and one stacked
-Jacobi call among them; a check called without it builds what it reads
-itself.  Either way the size guard on N^k is read before anything is
+``state_residuals`` shares rho, the witness and one stacked Jacobi call
+among them; a check called without it makes its own, which reads the
+same way.  Either way the size guard on N^k is read before anything is
 built.
 
 The witness is certified rather than sampled: W^{T_1} >= 0 makes
@@ -48,33 +48,29 @@ def _first_party_subsets(parties: int) -> tuple:
 
 
 class _DenseViews:
-    """The dense rho of one state, its witness and the Jacobi spectra several
-    checks read, each built on first use.
+    """The dense rho of one state, its witness and the one Jacobi call every
+    check reads, each built on first use.
 
-    ``state_residuals`` hands one made with ``shared=True`` to all its
-    checks, so rho and the witness are built once, and one
-    ``oracle.state_spectra`` call, one gather of rho's nonzeros and
-    one ``_jacobi`` sweep loop, diagonalises everything the checks read:
-    rho and all its partial transposes over subsets holding party 1
-    (:func:`_first_party_subsets`, made once per k), the Hermitian
-    dilation of the realigned rho and W^{T_1}.  The Bloch check reads the
-    positions of rho's nonzeros from that gather.  The relative entropy's
-    sigma is diagonal and never diagonalised.  A check called on its own
-    makes its own, which diagonalises only the row the check reads: rho
-    for the state spectrum and the relative entropy, rho^{T_1} for the
-    negativity (these through ``oracle.transpose_spectra``), the dilation
-    for the realignment, W^{T_1} for the witness certificate; the
-    PT-spectrum check reads all the transposes either way.  The size
+    ``spectra`` is one ``oracle.state_spectra`` call, one gather of rho's
+    nonzeros and one ``_jacobi`` sweep loop, whatever k: its transposes
+    are row 0 of rho (the empty subset), then of rho^{T_S} for each proper
+    subset S holding party 1 (:func:`_first_party_subsets`, made once per
+    k), [1] first; it also holds the spectra of the Hermitian dilation of
+    the realigned rho and of W^{T_1}, and the positions of rho's nonzeros,
+    which the Bloch check reads (rho's pattern is symmetric, so OR-ing it
+    with its transpose adds none).  The relative entropy's sigma is
+    diagonal and never diagonalised.  ``state_residuals`` hands one view
+    to all its checks, so each of these is built once per state; a check
+    called on its own makes its own and reads it the same way.  The size
     guard is read first, when the view is made.  Nothing here outlives
     the call that made it.
     """
 
-    def __init__(self, state: SCState, *, shared: bool = False):
+    def __init__(self, state: SCState):
         # before anything is built: the subsets, the witness's index arrays
         # and rho all grow with N^k, which can pass int64 for a valid state
         oracle.check_size_guard(state.dim**state.parties)
         self.state = state
-        self.shared = shared
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -88,81 +84,27 @@ class _DenseViews:
         rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
         return w, rows, cols, np.array(values, dtype=complex)
 
-    @property
-    def _dims(self) -> list:
-        return [self.state.dim] * self.state.parties
-
-    def _transposed(self, subsets) -> np.ndarray:
-        return oracle.transpose_spectra(self.rho, subsets, self._dims)
-
-    def _spectra(self, subsets, **extra) -> oracle.StateSpectra:
-        return oracle.state_spectra(self.rho, subsets, self._dims, **extra)
-
     @cached_property
-    def _stacked(self) -> oracle.StateSpectra:
-        """The one stacked call of a shared view."""
-        subsets = _first_party_subsets(self.state.parties)
-        return self._spectra(subsets, dilation=True, witness=self.witness[1:])
-
-    @cached_property
-    def transposes(self) -> np.ndarray:
-        """Jacobi eigenvalues, ascending: row 0 of rho (the empty subset), then
-        of rho^{T_S} for each proper subset S holding party 1, [1] first."""
-        if self.shared:
-            return self._stacked.transposes
-        return self._transposed(_first_party_subsets(self.state.parties))
-
-    @cached_property
-    def rho_values(self) -> np.ndarray:
-        return self.transposes[0] if self.shared else self._transposed([()])[0]
-
-    @cached_property
-    def pt1_values(self) -> np.ndarray:
-        """The spectrum of rho^{T_1}."""
-        return self.transposes[1] if self.shared else self._transposed([(1,)])[0]
-
-    @property
-    def pt_values(self) -> np.ndarray:
-        """The rows of rho^{T_S}; row 0 is rho^{T_1}."""
-        return self.transposes[1:]
-
-    @cached_property
-    def dilation_values(self) -> np.ndarray:
-        """The spectrum of the Hermitian dilation of rho realigned as party 1 | rest."""
-        if self.shared:
-            return self._stacked.dilation
-        return self._spectra([], dilation=True).dilation
-
-    @cached_property
-    def witness_values(self) -> np.ndarray:
-        """The spectrum of W^{T_1}."""
-        if self.shared:
-            return self._stacked.witness
-        return self._spectra([], witness=self.witness[1:]).witness
-
-    @cached_property
-    def nonzeros(self) -> np.ndarray:
-        """The flat positions of rho's nonzeros, ascending: those the stacked
-        call gathered (rho's pattern is symmetric, so OR-ing it with its
-        transpose adds none) or, alone, one scan."""
-        if self.shared:
-            return self._stacked.keys
-        return np.flatnonzero(self.rho.ravel() != 0)
+    def spectra(self) -> oracle.StateSpectra:
+        k = self.state.parties
+        return oracle.state_spectra(
+            self.rho, _first_party_subsets(k), [self.state.dim] * k,
+            dilation=True, witness=self.witness[1:],
+        )
 
 
 def pt_spectrum_residual(state: SCState, *, dense=None) -> float:
     """Closed-form PT spectrum vs dense eigenvalues, over all proper subsets.
 
-    Only the 2^(k-1) - 1 subsets S holding party 1 are diagonalised, all
-    in one ``oracle.transpose_spectra`` call (or, under ``state_residuals``,
-    as rows of its one ``oracle.state_spectra`` call): rho^{T_{S^c}} =
+    Only the 2^(k-1) - 1 subsets S holding party 1 are diagonalised, as
+    rows of the view's one ``oracle.state_spectra`` call: rho^{T_{S^c}} =
     (rho^{T_S})^T = conj(rho^{T_S}), with the same Jacobi values.
     """
     dense = dense or _DenseViews(state)
     spectrum = separability.pt_spectrum(state)
     pairs, zeros = spectrum.pair_magnitudes, np.zeros(spectrum.zero_multiplicity)
     expected = np.sort(np.concatenate([spectrum.diagonal, pairs, -pairs, zeros]))
-    return float(np.abs(dense.pt_values - expected).max())
+    return float(np.abs(dense.spectra.transposes[1:] - expected).max())
 
 
 def realignment_residual(state: SCState, *, dense=None) -> float:
@@ -172,7 +114,7 @@ def realignment_residual(state: SCState, *, dense=None) -> float:
     writes from rho's nonzeros: the value ``oracle.trace_norm(
     oracle.realign(rho, N, N^(k-1)))`` gives, with no realigned copy."""
     dense = dense or _DenseViews(state)
-    value = 0.5 * float(np.abs(dense.dilation_values).sum())
+    value = 0.5 * float(np.abs(dense.spectra.dilation).sum())
     return abs(value - separability.realignment_norm(state))
 
 
@@ -183,7 +125,7 @@ def negativity_residual(state: SCState, *, dense=None) -> float:
     spectrum.
     """
     dense = dense or _DenseViews(state)
-    value = 0.5 * (float(np.abs(dense.pt1_values).sum()) - 1.0)
+    value = 0.5 * (float(np.abs(dense.spectra.transposes[1]).sum()) - 1.0)
     return abs(value - measures.negativity(state))
 
 
@@ -205,14 +147,14 @@ def relative_entropy_residual(state: SCState, *, dense=None) -> float:
     rho = dense.rho
     sigma = np.zeros(len(rho))
     sigma[oracle.repeated_basis_index(np.arange(state.dim), state.parties, state.dim)] = diag
-    value = oracle.relative_entropy_dense(rho, sigma, rho_values=dense.rho_values)
+    value = oracle.relative_entropy_dense(rho, sigma, rho_values=dense.spectra.transposes[0])
     return abs(value - measures.relative_entropy(state))
 
 
 def state_spectrum_residual(state: SCState, *, dense=None) -> float:
     """Dense spectrum of rho vs ``state.eigenvalues`` plus padding zeros."""
     dense = dense or _DenseViews(state)
-    vals = dense.rho_values
+    vals = dense.spectra.transposes[0]
     small = state.eigenvalues
     expected = np.sort(np.concatenate([small, np.zeros(vals.size - small.size)]))
     return float(np.abs(vals - expected).max())
@@ -309,7 +251,7 @@ def witness_certificate(state: SCState, *, dense=None) -> float:
     ``build_witness`` makes; an empty witness gives 0.0.
     """
     dense = dense or _DenseViews(state)
-    return float(dense.witness_values[0])
+    return float(dense.spectra.witness[0])
 
 
 def _default_splits(parties: int):
@@ -388,9 +330,8 @@ def bloch_residuals(
     the whole matrix, read as the rebuilt entries against rho there and
     every other nonzero of rho in full (the generators are orthogonal, so
     the two agree exactly when every stored coefficient is right; the
-    format has no slot for the structural zeros).  Under
-    ``state_residuals`` rho's nonzeros are those its stacked Jacobi call
-    gathered; called alone, it scans rho for them.  It also demands the
+    format has no slot for the structural zeros).  rho's nonzeros are
+    those the view's stacked Jacobi call gathered.  It also demands the
     pair-value separability verdict match the off-diagonal test.
     Disagreement on the verdict, or two pairs stored on one position,
     returns infinity; otherwise the worst numeric residual.  Beyond the
@@ -401,7 +342,7 @@ def bloch_residuals(
         splits = _default_splits(state.parties)
     sep = separability.is_fully_separable(state, tol)
     dense = dense or _DenseViews(state)
-    rho, on_rho = dense.rho.ravel(), dense.nonzeros
+    rho, on_rho = dense.rho.ravel(), dense.spectra.keys
     worst = 0.0
     for split in splits:
         b = separability.bloch_decomposition(state, split)
@@ -486,7 +427,7 @@ def state_residuals(
     module-global names on each call, so patching one of them in this
     module reaches every caller.
     """
-    dense = _DenseViews(state, shared=True)
+    dense = _DenseViews(state)
     residuals = {
         "pt_spectrum": pt_spectrum_residual(state, dense=dense),
         "realignment": realignment_residual(state, dense=dense),

@@ -167,6 +167,24 @@ def test_analyze_oracle_split_1_builds_no_generator_tensors(capsys, tmp_path, mo
         assert json.loads(stdout)["oracle_checks"]["bloch"]["pass"] is True
 
 
+@pytest.mark.parametrize("split", [0, 3, -1])
+def test_analyze_oracle_refuses_a_bad_split_before_building_rho(
+    capsys, tmp_path, monkeypatch, split
+):
+    def refuse(state):
+        raise AssertionError("dense_from_sc called")
+
+    monkeypatch.setattr(oracle, "dense_from_sc", refuse)
+    path = tmp_path / "g.json"
+    path.write_text(dumps_state(pure_to_mixed(ghz(3, 2))))
+    code, stdout, err = run_cli(capsys, "analyze", str(path), "--oracle", "--split", str(split))
+    assert (code, stdout) == (2, "")
+    assert f"--split must be an integer in [1, 2], got {split}" in err
+    # without --oracle nothing reads the split
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "--split", str(split))
+    assert code == 0 and json.loads(stdout)["oracle_checked"] is False
+
+
 def test_analyze_roof_tightens_upper_bound(capsys, tmp_path):
     code, listing, _ = run_cli(
         capsys, "random", "--k", "2", "--N", "3", "--seed", "5",

@@ -40,7 +40,6 @@ from scstates.oracle import (
     state_spectra,
     su_generators,
     trace_norm,
-    transpose_spectra,
     von_neumann_entropy,
 )
 
@@ -246,7 +245,7 @@ def test_jacobi_reuses_one_read_only_layout_per_pattern():
     info = oracle._block_layout.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     n, keys, _ = oracle._hermitian_entries(first)
-    index, stacks, *arrays, _, _ = oracle._block_layout((n,), (keys.size,), keys.tobytes())
+    _, index, stacks, *arrays, _, _ = oracle._block_layout((n,), (keys.size,), keys.tobytes())
     arrays += [index] + [owners for *_, owners, _ in stacks]
     assert stacks and not any(array.flags.writeable for array in arrays)
 
@@ -370,7 +369,7 @@ def _transpose_panel():
 def test_transpose_spectra_rows_are_bit_identical_to_the_dense_route(m, dims):
     # the empty subset transposes nothing: its row is m's own spectrum
     subsets = [[]] + list(verify._all_proper_subsets(len(dims)))
-    spectra = transpose_spectra(m, subsets, dims)
+    spectra = state_spectra(m, subsets, dims).transposes
     assert spectra.shape == (len(subsets), m.shape[0])
     assert np.array_equal(spectra[0], hermitian_eigen(m))
     for subset, row in zip(subsets[1:], spectra[1:]):
@@ -400,7 +399,7 @@ def test_transpose_spectra_stop_rotating_each_matrix_once_it_converges(monkeypat
         separate.append(rotations[0])
     assert len(set(separate)) > 1
     rotations[0] = 0
-    transpose_spectra(m, subsets, dims)
+    state_spectra(m, subsets, dims)
     assert rotations[0] == sum(separate)
 
 
@@ -413,7 +412,7 @@ def test_transpose_spectra_close_a_one_sided_pattern_like_the_dense_route():
     m[5, 6], m[6, 5] = 0.0, 0.9 * DEFAULT_TOL
     dims = [2, 3, 2]
     subsets = list(verify._all_proper_subsets(3))
-    for subset, row in zip(subsets, transpose_spectra(m, subsets, dims)):
+    for subset, row in zip(subsets, state_spectra(m, subsets, dims).transposes):
         pt = partial_transpose(m, subset, dims)
         assert np.array_equal(row, hermitian_eigen(pt)), subset
         assert np.array_equal(row, _reference_hermitian_eigen(pt)), subset
@@ -433,7 +432,7 @@ def test_transpose_spectra_refuse_bad_input_as_hermitian_eigen_does(
     with pytest.raises(error) as expected:
         hermitian_eigen(m)
     with pytest.raises(error, match=re.escape(str(expected.value)) + "$"):
-        transpose_spectra(m, [[1], [1, 3]], [2, 3, 2])
+        state_spectra(m, [[1], [1, 3]], [2, 3, 2])
 
 
 def test_transpose_spectra_with_untransposed_indices_fail_the_pt_check(monkeypatch):
@@ -463,7 +462,7 @@ def test_jacobi_reports_the_matrix_that_does_not_converge(monkeypatch):
         hermitian_eigen(m)
     rho = dense_from_sc(random_sc_state(3, 2, 1807))
     with pytest.raises(EigenConvergenceError, match=r"after 100 sweeps$") as stacked:
-        transpose_spectra(rho, [[1], [1, 2]], [2, 2, 2])
+        state_spectra(rho, [[1], [1, 2]], [2, 2, 2])
     for raised, matrix in ((single, m), (stacked, partial_transpose(rho, [1], [2, 2, 2]))):
         off = np.sqrt(2.0) * np.linalg.norm(matrix[np.triu_indices(len(matrix), 1)])
         norms = f"off-diagonal norm {off:.3e} above 1e-12 * {np.linalg.norm(matrix):.3e}"
@@ -487,7 +486,7 @@ def test_values_only_jacobi_allocates_no_dense_array(parties, dim):
     subsets = [s for s in verify._all_proper_subsets(parties) if s[0] == 1]
     for diagonalise in (
         lambda: hermitian_eigen(rho),
-        lambda: transpose_spectra(rho, subsets, [dim] * parties),
+        lambda: state_spectra(rho, subsets, [dim] * parties),
     ):
         tracemalloc.start()
         try:
@@ -821,36 +820,44 @@ def test_trace_norm_keeps_small_singular_values():
     assert trace_norm(m.conj().T) == pytest.approx(sing.sum(), abs=1e-14)
 
 
+_RULES = (oracle._partial_transpose_keys, oracle._realigned_keys)
+
+
+def _read_only(plan):
+    subsets, gather, layout = plan
+    arrays = [gather] + [x for x in layout if isinstance(x, np.ndarray)]
+    return not any(array.flags.writeable for array in arrays)
+
+
 def test_transpose_spectra_keep_subsets_and_positions_per_pattern():
-    # two states of one shape and rank share the validated subsets and the
-    # transposed positions; both are read-only and each state still gets
-    # its own spectra
+    # two states of one shape and rank share one plan, read-only: the
+    # validated subsets, the transposed positions with the order that
+    # sorts them and the Jacobi layout; each state still gets its own spectra
     subsets = [[]] + list(verify._all_proper_subsets(3))
     first, second = (dense_from_sc(random_sc_state(3, 3, seed)) for seed in (1820, 1821))
-    oracle._valid_subsets.cache_clear()
-    oracle._transposed_keys.cache_clear()
-    rows = [transpose_spectra(m, subsets, [3, 3, 3]) for m in (first, second)]
-    for cache in (oracle._valid_subsets, oracle._transposed_keys):
-        info = cache.cache_info()
-        assert (info.misses, info.hits, info.maxsize) == (1, 1, 64)
+    oracle._plan.cache_clear()
+    rows = [state_spectra(m, subsets, [3, 3, 3]).transposes for m in (first, second)]
+    info = oracle._plan.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, 64)
     for m, spectra in zip((first, second), rows):
         for subset, row in zip(subsets[1:], spectra[1:]):
             dense = partial_transpose(m, subset, [3, 3, 3])
             assert np.array_equal(row, hermitian_eigen(dense))
     _, keys, _ = oracle._hermitian_entries(first)
-    valid = oracle._valid_subsets(tuple(map(tuple, subsets)), 3)
-    rule = oracle._partial_transpose_keys
-    moved, order = oracle._transposed_keys(keys.tobytes(), valid, (3, 3, 3), rule)
-    assert not moved.flags.writeable and not order.flags.writeable
+    plan = oracle._plan(keys.tobytes(), None, (3, 3, 3), tuple(map(tuple, subsets)), False, *_RULES)
+    assert oracle._plan.cache_info().hits == 2
+    assert _read_only(plan)
+    valid, gather, _ = plan
     assert valid[0] == () and valid[1] == (1,)
+    assert gather.size == len(subsets) * keys.size
 
 
 def test_transposed_positions_keep_the_last_64_patterns():
-    oracle._transposed_keys.cache_clear()
-    rule = oracle._partial_transpose_keys
+    oracle._plan.cache_clear()
     for key in range(70):
-        oracle._transposed_keys(np.array([key]).tobytes(), ((1,),), (2, 2), rule)
-    assert oracle._transposed_keys.cache_info().currsize == 64
+        oracle._plan(np.array([key]).tobytes(), None, (9, 9), ((1,),), False, *_RULES)
+    info = oracle._plan.cache_info()
+    assert info.currsize == 64 and info.misses == 70
 
 
 def test_generator_levels_are_kept_read_only_per_shape_and_bounded():
@@ -897,7 +904,8 @@ def test_jacobi_stacks_matrices_of_different_sides_bit_identically(sparse):
     sizes = tuple(keys.size for _, keys, _ in gathered)
     keys = np.concatenate([keys for _, keys, _ in gathered])
     entries = np.concatenate([entries for _, _, entries in gathered])
-    values = np.split(oracle._jacobi(sides, sizes, keys, entries), np.cumsum(sides)[:-1])
+    layout = oracle._block_layout(sides, sizes, keys.tobytes())
+    values = np.split(oracle._jacobi(layout, entries), np.cumsum(sides)[:-1])
     for m, row in zip(matrices, values):
         assert np.array_equal(row, hermitian_eigen(m))
         assert np.array_equal(row, _reference_hermitian_eigen(m))
@@ -919,7 +927,7 @@ def test_state_spectra_extra_rows_match_their_dense_routes(parties, dim):
     w, rows, cols, values = _witness_terms(state)
     subsets = verify._first_party_subsets(parties)
     out = state_spectra(rho, subsets, dims, dilation=True, witness=(rows, cols, values))
-    assert np.array_equal(out.transposes, transpose_spectra(rho, subsets, dims))
+    assert np.array_equal(out.transposes, state_spectra(rho, subsets, dims).transposes)
     realigned = realign(rho, dim, dim ** (parties - 1))
     assert out.dilation.size == sum(realigned.shape)
     assert 0.5 * float(np.abs(out.dilation).sum()) == trace_norm(realigned)
@@ -999,16 +1007,19 @@ def test_wrong_realignment_positions_fail_only_the_realignment_check(monkeypatch
 
 
 def test_dilation_and_term_positions_keep_the_last_64_patterns():
+    # W's positions key the plan as rho's do: one rho with 70 witness
+    # patterns keeps the last 64 plans
     rho = dense_from_sc(random_sc_state(3, 3, 1834))
     _, keys, _ = oracle._hermitian_entries(rho)
-    oracle._dilation_keys.cache_clear()
-    oracle._term_layout.cache_clear()
+    oracle._plan.cache_clear()
     for key in range(70):
-        oracle._dilation_keys(np.array([key]).tobytes(), (2, 2), oracle._realigned_keys)
-        oracle._term_layout(np.array([key]).tobytes(), 9)
-    for cache in (oracle._dilation_keys, oracle._term_layout):
-        assert cache.cache_info().currsize == cache.cache_info().maxsize == 64
-    side, moved, order = oracle._dilation_keys(keys.tobytes(), (3, 3, 3), oracle._realigned_keys)
-    assert side == 9 + 81
-    assert not moved.flags.writeable and not order.flags.writeable
-    assert all(not array.flags.writeable for array in oracle._term_layout(keys.tobytes(), 27))
+        oracle._plan(keys.tobytes(), np.array([key]).tobytes(), (3, 3, 3), (), True, *_RULES)
+    info = oracle._plan.cache_info()
+    assert info.currsize == info.maxsize == 64 and info.misses == 70
+    w_keys, _ = oracle._term_entries(27, *_witness_terms(random_sc_state(3, 3, 1834))[1:])
+    plan = oracle._plan(keys.tobytes(), w_keys.tobytes(), (3, 3, 3), (), True, *_RULES)
+    assert _read_only(plan)
+    # W^{T_1}'s side and the dilation's, 9 + 81; W's entries, then rho's and their mirrors
+    _, gather, layout = plan
+    assert layout[0] == 27 + 9 + 81
+    assert gather.size == w_keys.size + 2 * keys.size

@@ -132,13 +132,13 @@ def _refuse(name):
 def test_pt_spectrum_residual_diagonalises_one_of_each_complementary_pair(
     monkeypatch, parties, dim
 ):
-    spectra, calls = oracle.transpose_spectra, []
+    spectra, calls = oracle.state_spectra, []
 
-    def counted_spectra(m, subsets, dims):
+    def counted_spectra(m, subsets, dims, **extra):
         calls.append([tuple(s) for s in subsets])
-        return spectra(m, subsets, dims)
+        return spectra(m, subsets, dims, **extra)
 
-    monkeypatch.setattr(oracle, "transpose_spectra", counted_spectra)
+    monkeypatch.setattr(oracle, "state_spectra", counted_spectra)
     # no dense transpose is built and no transpose is diagonalised on its own
     monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     monkeypatch.setattr(oracle, "hermitian_eigen", _refuse("hermitian_eigen"))
@@ -168,7 +168,6 @@ def test_state_residuals_diagonalise_rho_and_its_first_party_transpose_once(
         return spectra(m, subsets, dims, **extra)
 
     monkeypatch.setattr(oracle, "hermitian_eigen", counted_eigen)
-    # transpose_spectra reads its rows from state_spectra, so this sees both
     monkeypatch.setattr(oracle, "state_spectra", counted_spectra)
     monkeypatch.setattr(oracle, "partial_transpose", _refuse("partial_transpose"))
     state = random_sc_state(parties, dim, 17)
@@ -322,35 +321,25 @@ def test_size_guard_refuses_a_huge_state_before_allocating(monkeypatch, refused,
 
 
 @pytest.mark.parametrize(
-    "check, subset, extra",
+    "check",
     [
-        (verify.state_spectrum_residual, (), []),
-        (verify.relative_entropy_residual, (), []),
-        (verify.negativity_residual, (1,), []),
-        (verify.realignment_residual, None, ["dilation"]),
-        (verify.witness_certificate, None, ["witness"]),
+        verify.state_spectrum_residual,
+        verify.relative_entropy_residual,
+        verify.negativity_residual,
+        verify.realignment_residual,
+        verify.witness_certificate,
     ],
     ids=["state_spectrum", "relative_entropy", "negativity", "realignment", "witness"],
 )
 @pytest.mark.parametrize("parties, dim", [(2, 2), (3, 3), (6, 2)])
-def test_a_check_called_alone_diagonalises_only_the_row_it_reads(
-    monkeypatch, check, subset, extra, parties, dim
-):
-    spectra, calls = oracle.state_spectra, []
-
-    def counted_spectra(m, subsets, dims, **kwargs):
-        calls.append(([tuple(s) for s in subsets], sorted(kwargs)))
-        return spectra(m, subsets, dims, **kwargs)
-
-    # transpose_spectra reads its rows from state_spectra, so this sees both
-    monkeypatch.setattr(oracle, "state_spectra", counted_spectra)
+def test_a_check_called_alone_reads_the_row_state_residuals_reads(check, parties, dim):
     state = random_sc_state(parties, dim, 19)
     residual = check(state)
-    # one transpose or none, and the one extra row the check reads
-    assert calls == [([] if subset is None else [subset], extra)]
     assert residual <= verify.RELATIVE_ENTROPY_TOL_FLOOR
-    # the row is the one the shared stack holds
-    assert residual == check(state, dense=verify._DenseViews(state, shared=True))
+    # the row is the one a view shared by several checks holds
+    dense = verify._DenseViews(state)
+    verify.pt_spectrum_residual(state, dense=dense)
+    assert residual == check(state, dense=dense)
 
 
 def test_first_party_subsets_are_made_once_per_party_count():
@@ -401,7 +390,7 @@ def test_relative_entropy_residual_builds_no_dense_sigma(parties, dim):
     # n x n sigma and no eigenvector matrix
     state = random_sc_state(parties, dim, 27)
     views = verify._DenseViews(state)
-    rho, _ = views.rho, views.rho_values
+    rho, _ = views.rho, views.spectra
     tracemalloc.start()
     try:
         residual = verify.relative_entropy_residual(state, dense=views)
@@ -547,9 +536,10 @@ def test_state_residuals_fail_a_witness_with_a_lowered_diagonal_weight(
 def test_state_residuals_make_one_jacobi_call(monkeypatch, parties, dim):
     jacobi, calls = oracle._jacobi, []
 
-    def counted(*args):
-        calls.append(args[0])
-        return jacobi(*args)
+    def counted(layout, entries):
+        # each matrix's side, from the runs of equal sides its values sort by
+        calls.append(sum(((side,) * count for *_, count, side in layout[-1]), ()))
+        return jacobi(layout, entries)
 
     monkeypatch.setattr(oracle, "_jacobi", counted)
     # no realigned copy, no second trace-norm pass and no product-state samples
@@ -585,12 +575,11 @@ def test_state_residuals_peak_memory_stays_near_one_dense_state():
 @pytest.mark.parametrize("parties, dim", [(3, 2), (3, 3), (4, 2)])
 def test_bloch_residuals_read_the_shared_gather_of_rho(parties, dim):
     state = random_sc_state(parties, dim, 1843)
-    shared = verify._DenseViews(state, shared=True)
+    shared = verify._DenseViews(state)
     alone = verify.bloch_residuals(state, range(1, parties))
     assert verify.bloch_residuals(state, range(1, parties), dense=shared) == alone
     # the positions the stacked call gathered are rho's nonzeros
-    assert shared.nonzeros is shared._stacked.keys
-    assert np.array_equal(shared.nonzeros, np.flatnonzero(shared.rho != 0))
+    assert np.array_equal(shared.spectra.keys, np.flatnonzero(shared.rho != 0))
 
 
 def test_witness_certificate_bounds_the_sampled_minimum():
