@@ -148,11 +148,10 @@ def roof_optimizer(
     a = state.a
     weight = 2.0
     vals, vecs = state.spectrum
-    keep = vals > RANK_TOL
-    rank = int(keep.sum())
+    rank = state.rank  # the eigenvalues above RANK_TOL are the last ``rank``
     if rank == 0:
         raise ValueError("coefficient matrix has no spectral weight")
-    b = (vecs[:, keep] * np.sqrt(vals[keep])).T  # rank x N, rows sum back to a
+    b = (vecs[:, -rank:] * np.sqrt(vals[-rank:])).T  # rank x N, rows sum back to a
     size = 2 * rank
     eye = np.eye(size)
 

@@ -8,12 +8,13 @@ eigenvalues at all).  Its one rotation loop is a hand-written cyclic
 complex Jacobi (:func:`_jacobi`) that returns eigenvalues only.  It reads
 only a matrix's nonzero entries and rotates each connected component of
 their pattern as a compact block, stacking blocks of one size from
-matrices of any sides: :func:`hermitian_eigen` diagonalises one matrix
-that way, :func:`state_spectra` many partial transposes of one matrix
-without building any of them and, in the same call, the Hermitian
-dilation of its realignment and a witness's partial transpose, read from
-positions alone, and :func:`trace_norm` the Hermitian dilation of a
-rectangular matrix.  The relative entropy is taken to a diagonal sigma,
+matrices of any sides: :func:`state_spectra` diagonalises many partial
+transposes of one matrix without building any of them and, in the same
+call, the Hermitian dilation of its realignment and a witness's partial
+transpose, read from positions alone; :func:`hermitian_eigen` is its
+one-matrix case, and :func:`trace_norm` diagonalises the Hermitian
+dilation of a rectangular matrix.  :func:`_plan` is the one cache of
+where the blocks lie.  The relative entropy is taken to a diagonal sigma,
 whose eigenvectors are the basis vectors, so it needs no eigenvectors
 either.
 
@@ -304,17 +305,16 @@ def _runs(lengths: tuple) -> tuple:
     return tuple(runs)
 
 
-@functools.lru_cache(maxsize=64)
-def _block_layout(sides: tuple, sizes: tuple, pattern: bytes) -> tuple:
+def _block_layout(sides: tuple, sizes: tuple, keys: np.ndarray) -> tuple:
     """Where :func:`_jacobi` puts the entries of Hermitian matrices of the
     given ``sides``, whose nonzeros sit at the row-major positions
-    ``pattern``: the bytes of an int array, sizes[i] ascending positions
-    for matrix i, then those of the next.
+    ``keys``: sizes[i] ascending positions for matrix i, then those of the
+    next.
 
     Vertex s_i + r is row r of matrix i, s_i the sum of the sides before
     it.  All blocks live in one flat buffer,
     ``np.concatenate([entries, [0]]).take(index)`` for the entries in
-    ``pattern`` order.  Returns (total, index, stacks, upper_at, owner,
+    ``keys`` order.  Returns (total, index, stacks, upper_at, owner,
     diagonal, vertex, within, members, norm_runs, sort_runs), ``total``
     the sum of the sides and
     - ``stacks``, per block size c, ascending: (start, stop, shape,
@@ -332,9 +332,9 @@ def _block_layout(sides: tuple, sizes: tuple, pattern: bytes) -> tuple:
     Matrices of any sides stack: a block never spans two of them.  The
     layout depends only on the pattern, which many matrices share (all
     random states of one shape and rank, and their partial transposes), so
-    the last 64 are kept.  Its arrays are read-only.
+    :func:`_plan` keeps it with the rest of a :func:`state_spectra` call's
+    plan.  Its arrays are read-only.
     """
-    keys = np.frombuffer(pattern, dtype=int)
     count, total = len(sides), sum(sides)
     first = np.cumsum((0,) + sides)  # each matrix's first vertex, then the total
     matrix = np.repeat(np.arange(count), sizes)
@@ -445,25 +445,25 @@ def hermitian_eigen(m: np.ndarray) -> np.ndarray:
     rotation until the off-diagonal Frobenius norm falls below 1e-12
     times the matrix norm (at most 100 sweeps).
 
-    The set-up reads only the nonzero pattern of ``m`` OR-ed with its
-    transpose (:func:`_hermitian_entries`): the finiteness and Hermitian
-    checks, the symmetrised entries (m + m^dag)/2 and the norm all come
-    from the entries gathered there.  The sweeps run on one compact block
-    per connected component of that pattern (:func:`_jacobi`), visiting
-    its pairs in row-major order and skipping a pair whose entry is
-    exactly zero; this gives the bits of a row-major sweep over the whole
-    matrix.  Where the blocks lie depends only on the pattern, and is kept
-    for the last 64 patterns (:func:`_block_layout`).  No n x n array is
-    allocated: the pattern scan's flags take at most 1 MiB per block of
-    rows.
+    This is the one-matrix row of :func:`state_spectra`: ``m`` as one
+    party, transposed over the empty subset.  The set-up reads only the
+    nonzero pattern of ``m`` OR-ed with its transpose
+    (:func:`_hermitian_entries`): the finiteness and Hermitian checks, the
+    symmetrised entries (m + m^dag)/2 and the norm all come from the
+    entries gathered there.  The sweeps run on one compact block per
+    connected component of that pattern (:func:`_jacobi`), visiting its
+    pairs in row-major order and skipping a pair whose entry is exactly
+    zero; this gives the bits of a row-major sweep over the whole matrix.
+    Where the blocks lie depends only on the pattern, and is kept for the
+    last 64 patterns (:func:`_plan`).  No n x n array is allocated: the
+    pattern scan's flags take at most 1 MiB per block of rows.
 
     ``m`` must be square, finite and Hermitian: no |m - m^dag| entry may
     exceed ``states.DEFAULT_TOL``, the tolerance state validation uses.  A
     non-finite entry raises ``ValueError`` naming the first one in
     row-major order, before any sweep.
     """
-    n, keys, entries = _hermitian_entries(m)
-    return _jacobi(_block_layout((n,), (keys.size,), keys.tobytes()), entries)
+    return state_spectra(m, [()], np.shape(m)[:1]).transposes[0]
 
 
 def _partial_transpose_keys(keys: np.ndarray, subsets, dims: tuple) -> np.ndarray:
@@ -504,9 +504,11 @@ def state_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None)
     symmetrised once (a partial transpose sends an entry and its mirror to
     an entry and its mirror, so this gives the bits of doing it on each
     transpose) and their positions mapped to each transpose's.  An empty
-    subset transposes no party: its row is ``hermitian_eigen(m)``.  Other
-    subsets must be proper, and errors are those of
-    :func:`hermitian_eigen` and :func:`partial_transpose`.  On request:
+    subset transposes no party: its row is ``hermitian_eigen(m)``, which
+    is this call with the one subset () and dims (n,).  Other subsets
+    must be proper.  ``m`` is read and checked first, with the errors of
+    :func:`hermitian_eigen`; then its side must be prod(dims), else
+    ``ValueError``, as in :func:`partial_transpose`.  On request:
     - ``dilation=True``: the Hermitian dilation [[0, R], [R^dag, 0]] of
       R = ``realign(m, dims[0], prod(dims[1:]))``, its positions mapped
       from those of the gathered nonzeros (:func:`_realigned_keys`), so R
@@ -523,12 +525,12 @@ def state_spectra(m: np.ndarray, subsets, dims, *, dilation=False, witness=None)
     """
     dims = tuple(int(d) for d in dims)
     total = math.prod(dims)
-    if np.shape(m) != (total, total):
+    n, keys, entries = _hermitian_entries(m)
+    if n != total:
         raise ValueError(
             f"matrix shape {np.shape(m)} does not match party dimensions {dims} "
             f"(product {total})"
         )
-    _, keys, entries = _hermitian_entries(m)
     source, w_pattern = [entries, entries.conj()], None
     if witness is not None:
         w_keys, w_entries = _term_entries(total, *witness)
@@ -570,7 +572,9 @@ def _plan(
     :func:`_block_layout` of it all.  The rules are
     :func:`_partial_transpose_keys` and :func:`_realigned_keys` as the
     caller finds them, so a replaced rule is always called.  The last 64
-    plans are kept: one serves every state of one shape and rank.
+    plans are kept: one serves every state of one shape and rank, or every
+    matrix of one pattern given to :func:`hermitian_eigen`.  This is the
+    oracle's one cache of Jacobi layouts.
     """
     keys = np.frombuffer(pattern, dtype=int)
     total = math.prod(dims)
@@ -595,7 +599,7 @@ def _plan(
         parts.append(moved)
         gather.append(order)
     sizes = tuple(part.size for part in parts[1:])
-    layout = _block_layout(tuple(sides), sizes, np.concatenate(parts).tobytes())
+    layout = _block_layout(tuple(sides), sizes, np.concatenate(parts))
     gather = np.concatenate(gather)
     gather.setflags(write=False)
     return subsets, gather, layout
@@ -649,9 +653,9 @@ def trace_norm(m: np.ndarray) -> float:
     and |rows - columns| zeros, so the trace norm is half the sum of their
     moduli.  H is written from the nonzeros of ``m`` alone, and no Gram
     matrix is formed, so a small singular value keeps an absolute error of
-    order eps times the largest and nothing is cut off.  A non-finite
-    entry raises ``ValueError`` naming the first in row-major order,
-    before any sweep.
+    order eps times the largest and nothing is cut off.  The block layout
+    is built on each call; nothing is kept.  A non-finite entry raises
+    ``ValueError`` naming the first in row-major order, before any sweep.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
@@ -660,7 +664,7 @@ def trace_norm(m: np.ndarray) -> float:
     entries = _check_finite(m[rows, cols], rows, cols)
     n = sum(m.shape)
     keys, order = _dilated_keys(rows, cols, m.shape[0], n)
-    layout = _block_layout((n,), (keys.size,), keys.tobytes())
+    layout = _block_layout((n,), (keys.size,), keys)
     values = _jacobi(layout, np.concatenate([entries, entries.conj()])[order])
     return 0.5 * float(np.abs(values).sum())
 

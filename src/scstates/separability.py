@@ -282,8 +282,10 @@ def check_corollary2(b: BlochDecomposition, tol: float = DEFAULT_SEP_TOL) -> boo
 
     Pair m < n fills t only through its value v = (M R/2) a_mn, so
     2 |v|/(M R) is |a_mn|; true iff that is at most ``tol`` for every
-    pair.  So the verdict is :func:`is_fully_separable`'s on valid SC
-    states, also at the tolerance boundary.
+    pair.  |v| is ``hypot`` of its parts, the rule of ``SCState.moduli``.
+    So the verdict is :func:`is_fully_separable`'s on valid SC states;
+    at a tie, |a_mn| = ``tol`` exactly, only when N is a power of two,
+    since otherwise scaling by M R/2 and back can move |a_mn| by an ulp.
     """
     size = b.dim_first * b.dim_rest
-    return 2.0 * float(np.abs(b.pair_values).max()) / size <= tol
+    return 2.0 * float(np.hypot(b.pair_values.real, b.pair_values.imag).max()) / size <= tol

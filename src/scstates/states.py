@@ -308,7 +308,7 @@ def spectral_ensemble(state: SCState) -> Ensemble:
     """
     lam, vec = state.spectrum
     comps = []
-    for i in np.flatnonzero(lam > RANK_TOL)[::-1]:  # descending
+    for i in reversed(range(lam.size - state.rank, lam.size)):  # the largest, descending
         comps.append(
             (float(lam[i]), PureSCState(parties=state.parties, amplitudes=vec[:, i]))
         )

@@ -10,7 +10,11 @@ check takes an optional ``dense``, the :class:`_DenseViews` through which
 ``state_residuals`` shares rho, the witness and one stacked Jacobi call
 among them; a check called without it makes its own, which reads the
 same way.  Either way the size guard on N^k is read before anything is
-built.
+built.  Every fold of residuals (over Bloch splits and entries, the two
+witness routes, the SLOCC terms and the suite's states) and of
+certificates (over witness sample blocks and states) is :func:`_worst`,
+which keeps a NaN; ``check_entries`` reports any non-finite value as
+null and fails its entry.
 
 The witness is certified rather than sampled: W^{T_1} >= 0 makes
 Tr[W sigma] = Tr[W^{T_1} sigma^{T_1}] >= lambda_min(W^{T_1}) for every
@@ -20,6 +24,7 @@ sampled bound over random product states for callers that ask for it.
 """
 
 import functools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -41,10 +46,22 @@ def _all_proper_subsets(parties: int):
 @functools.cache
 def _first_party_subsets(parties: int) -> tuple:
     """() and then the 2^(k-1) - 1 proper subsets holding party 1, (1,) first,
-    in the order :func:`_all_proper_subsets` yields them; one tuple per k."""
-    rest = range(2, parties + 1)
-    masks = range(2 ** (parties - 1) - 1)  # of parties 2..k; the last, all of them, is left out
-    return ((),) + tuple((1,) + tuple(p for p in rest if mask >> (p - 2) & 1) for mask in masks)
+    as :func:`_all_proper_subsets` yields them; one tuple per k."""
+    return ((),) + tuple(tuple(s) for s in _all_proper_subsets(parties) if s[0] == 1)
+
+
+def _worst(values, *, lowest: bool = False) -> float:
+    """The largest of ``values`` (the smallest with ``lowest``), or NaN if any
+    is NaN; ties keep the first.
+
+    The one fold of residuals and certificates, here and in ``cli``: the
+    builtin max of 0.0 and NaN is 0.0, which would report a NaN as agreement.
+    """
+    worst = None
+    for value in map(float, values):
+        if worst is None or math.isnan(value) or (value < worst if lowest else value > worst):
+            worst = value  # a NaN stays: no value compares above or below it
+    return worst
 
 
 class _DenseViews:
@@ -198,7 +215,7 @@ def witness_expectation_residual(state: SCState, *, dense=None) -> float:
     target = -float(sum(abs(state.a[m, j]) for m, j in w.source_pairs))
     closed = separability.witness_expectation(w, state)
     on_rho = float((values * dense.rho[cols, rows]).sum().real)
-    return max(abs(closed - target), abs(on_rho - target))
+    return _worst([abs(closed - target), abs(on_rho - target)])
 
 
 def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dense=None):
@@ -228,14 +245,14 @@ def witness_residuals(state: SCState, rng, separable_samples: int = 500, *, dens
     index = np.concatenate([rows, cols])
     digits = (index // n ** np.arange(k - 1, -1, -1)[:, None]) % n
     block = max(1, _SAMPLE_BLOCK_BYTES // (16 * max(1, index.size)))
-    worst_separable = np.inf
+    minima = []
     for s in range(0, separable_samples, block):
         vec = local[s : s + block, 0, digits[0]]
         for p in range(1, k):
             vec *= local[s : s + block, p, digits[p]]
         expect = (vec[:, rows.size :] * vec[:, : rows.size].conj()) @ values
-        worst_separable = min(worst_separable, float(expect.real.min()))
-    return residual, float(worst_separable)
+        minima.append(expect.real.min())
+    return residual, _worst(minima, lowest=True)
 
 
 def witness_certificate(state: SCState, *, dense=None) -> float:
@@ -343,7 +360,7 @@ def bloch_residuals(
     sep = separability.is_fully_separable(state, tol)
     dense = dense or _DenseViews(state)
     rho, on_rho = dense.rho.ravel(), dense.spectra.keys
-    worst = 0.0
+    worst = [0.0]
     for split in splits:
         b = separability.bloch_decomposition(state, split)
         if separability.check_corollary2(b, tol) != sep:
@@ -354,9 +371,8 @@ def bloch_residuals(
         if np.count_nonzero(rebuilt) < keys.size:
             return float("inf")
         outside = rho[on_rho[~rebuilt[on_rho]]]
-        worst = max(worst, float(np.abs(values - rho[keys]).max()))
-        worst = max(worst, float(np.abs(outside).max(initial=0.0)))
-    return worst
+        worst += [np.abs(values - rho[keys]).max(), np.abs(outside).max(initial=0.0)]
+    return _worst(worst)
 
 
 def slocc_residual(psi) -> float:
@@ -374,9 +390,7 @@ def slocc_residual(psi) -> float:
     if not np.array_equal(on, np.abs(out.amplitudes) > slocc.SUPPORT_TOL):
         return float("inf")
     z = out.amplitudes[on] * np.sqrt(cls.t)
-    worst = float(np.abs(np.abs(z) - 1.0).max())
-    worst = max(worst, float(np.abs(z - z[0]).max()))
-    return worst
+    return _worst([np.abs(np.abs(z) - 1.0).max(), np.abs(z - z[0]).max()])
 
 
 def separability_votes(
@@ -385,11 +399,16 @@ def separability_votes(
     """The four independent separability verdicts, for agreement tests.
 
     Each vote compares a largest coherence, not a sum of them, with
-    ``tol``, so all four agree also at the tolerance boundary.  The
-    realigned SC matrix (party 1 | rest) is a weighted permutation whose
-    singular values are the N^2 moduli |a_mn| (Chen & Wu, Quantum Inf.
-    Comput. 3, 193 (2003)); the realignment vote is on the largest one
-    with m != n, not on the trace-norm excess 2 sum_{m<n} |a_mn|.
+    ``tol``.  The realigned SC matrix (party 1 | rest) is a weighted
+    permutation whose singular values are the N^2 moduli |a_mn| (Chen &
+    Wu, Quantum Inf. Comput. 3, 193 (2003)); the realignment vote is on
+    the largest one with m != n, not on the trace-norm excess
+    2 sum_{m<n} |a_mn|.  The off-diagonal, realignment and PT votes read
+    ``state.moduli``, so they agree also at a tie, |a_mn| = ``tol``
+    exactly.  The Bloch vote reads |a_mn| back as 2|v|/(M R) from the
+    stored v = (M R/2) a_mn, which is exact when N is a power of two; for
+    other N it can differ from |a_mn| by an ulp, and so from the other
+    votes within an ulp of a tie.
     """
     if splits is None:
         splits = _default_splits(state.parties)
@@ -397,7 +416,7 @@ def separability_votes(
         separability.check_corollary2(separability.bloch_decomposition(state, s), tol)
         for s in splits
     )
-    singular = np.abs(state.a)  # the realigned matrix's singular values, by (m, n)
+    singular = state.moduli  # the realigned matrix's singular values, by (m, n)
     return {
         "off_diagonal": separability.is_fully_separable(state, tol),
         "realignment": float(singular[~np.eye(state.dim, dtype=bool)].max()) <= tol,
@@ -448,11 +467,11 @@ def _finite_or_none(x):
 def check_entries(worst: dict, worst_separable: float, tol: float) -> dict:
     """Report entries {max_residual, tol, pass} for each check in ``worst``.
 
-    A non-finite residual (verdict mismatch, support leak) is null and fails.
-    The witness entry also needs ``worst_separable``, a lower bound on
-    Tr[W sigma] over separable sigma (``state_residuals`` gives
-    lambda_min(W^{T_1})), to be >= -tol; it is reported as
-    ``min_separable_expectation``.
+    A non-finite residual (verdict mismatch, support leak, NaN) is null
+    and fails.  The witness entry also needs ``worst_separable``, a lower
+    bound on Tr[W sigma] over separable sigma (``state_residuals`` gives
+    lambda_min(W^{T_1})), to be finite and >= -tol; it is reported as
+    ``min_separable_expectation``, null if not finite.
     """
     checks = {}
     for name, value in worst.items():
@@ -463,8 +482,8 @@ def check_entries(worst: dict, worst_separable: float, tol: float) -> dict:
             "pass": bool(value <= allowed),
         }
         if name == "witness":
-            entry["min_separable_expectation"] = _finite_or_none(worst_separable)
-            entry["pass"] = bool(entry["pass"] and worst_separable >= -tol)
+            certificate = entry["min_separable_expectation"] = _finite_or_none(worst_separable)
+            entry["pass"] = entry["pass"] and certificate is not None and certificate >= -tol
         checks[name] = entry
     return checks
 
@@ -486,20 +505,14 @@ def run_suite(
         raise ValueError(f"samples must be >= 1, got {samples}")
     oracle.check_size_guard(dim**parties)
     rng = np.random.default_rng(seed)
-    worst = {}
-    worst_separable = np.inf
-
+    results = []
     for _ in range(samples):
-        state = random_sc_state(parties, dim, rng)
-        residuals, w_sep = state_residuals(state, tol=tol)
-        worst_separable = min(worst_separable, w_sep)
+        residuals, w_sep = state_residuals(random_sc_state(parties, dim, rng), tol=tol)
         support = int(rng.integers(2, dim + 1))
         psi = random_pure_sc_state(parties, dim, rng, support_size=support)
-        residuals["slocc"] = slocc_residual(psi)
-        for name, value in residuals.items():
-            worst[name] = max(worst.get(name, 0.0), value)
-
-    checks = check_entries(worst, worst_separable, tol)
+        results.append((residuals | {"slocc": slocc_residual(psi)}, w_sep))
+    worst = {name: _worst(r[name] for r, _ in results) for name in results[0][0]}
+    checks = check_entries(worst, _worst((w for _, w in results), lowest=True), tol)
     return {
         "k": parties,
         "N": dim,

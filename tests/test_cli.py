@@ -358,6 +358,57 @@ def test_oracle_verify_non_finite_residual_exits_3(capsys, monkeypatch):
     assert checks["negativity"]["pass"] is True
 
 
+def test_oracle_verify_fails_a_nan_residual_among_finite_ones(capsys, monkeypatch):
+    # the second of two states reads NaN: the suite's fold keeps it
+    original, calls = verify.pt_spectrum_residual, []
+
+    def second_is_nan(*args, **kwargs):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "pt_spectrum_residual", second_is_nan)
+    code, stdout, _ = run_cli(
+        capsys, "oracle-verify", "--k", "2", "--N", "2", "--samples", "2"
+    )
+    assert code == 3
+    checks = json.loads(stdout)["checks"]
+    assert checks["pt_spectrum"] == {"max_residual": None, "tol": 1e-9, "pass": False}
+    assert all(entry["pass"] for name, entry in checks.items() if name != "pt_spectrum")
+
+
+def test_a_nan_certificate_fails_the_witness_entry_in_both_commands(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(verify, "witness_certificate", lambda *a, **k: float("nan"))
+    path = tmp_path / "pair.json"
+    path.write_text(dumps_state(new_sc_state(2, 2, [[0.5, 0.4], [0.4, 0.5]])))
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "--oracle")
+    assert code == 3
+    analyzed = json.loads(stdout)["oracle_checks"]["witness"]
+    code, stdout, _ = run_cli(
+        capsys, "oracle-verify", "--k", "2", "--N", "2", "--samples", "2"
+    )
+    assert code == 3
+    verified = json.loads(stdout)["checks"]["witness"]
+    for witness in (analyzed, verified):
+        assert witness["pass"] is False
+        assert witness["min_separable_expectation"] is None
+        assert witness["max_residual"] <= witness["tol"]
+
+
+def test_analyze_oracle_max_residual_is_null_when_an_entry_is_null(
+    capsys, tmp_path, monkeypatch
+):
+    # a NaN after the first check: a plain max over the checks would drop it
+    monkeypatch.setattr(verify, "realignment_residual", lambda *a, **k: float("nan"))
+    path = write_diag_state(tmp_path)
+    code, stdout, _ = run_cli(capsys, "analyze", str(path), "--oracle")
+    assert code == 3
+    report = json.loads(stdout)
+    assert report["oracle_checks"]["realignment"]["max_residual"] is None
+    assert report["oracle_max_residual"] is None
+
+
 def _weaken_witness(monkeypatch):
     """Patch ``build_witness`` to scale its diagonal terms by 0.8.
 

@@ -233,20 +233,24 @@ def test_jacobi_names_a_non_finite_entry_before_any_hermitian_defect(monkeypatch
 
 
 def test_jacobi_reuses_one_read_only_layout_per_pattern():
-    # two matrices of one pattern share the cached block layout, and each
-    # still gets its own spectrum
+    # two matrices of one pattern share one cached plan, the one-matrix row
+    # of state_spectra with its block layout, and each still gets its own
+    # spectrum
     rng = np.random.default_rng(1809)
     first = random_hermitian(10, rng)
     first[np.abs(first) < 0.9] = 0.0
     second = np.where(first != 0.0, random_hermitian(10, rng), 0.0)
-    oracle._block_layout.cache_clear()
+    oracle._plan.cache_clear()
     for m in (first, second):
         assert np.array_equal(hermitian_eigen(m), _reference_hermitian_eigen(m))
-    info = oracle._block_layout.cache_info()
+    info = oracle._plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     n, keys, _ = oracle._hermitian_entries(first)
-    _, index, stacks, *arrays, _, _ = oracle._block_layout((n,), (keys.size,), keys.tobytes())
-    arrays += [index] + [owners for *_, owners, _ in stacks]
+    _, gather, (_, index, stacks, *arrays, _, _) = oracle._plan(
+        keys.tobytes(), None, (n,), ((),), False, *_RULES
+    )
+    assert oracle._plan.cache_info().hits == 2
+    arrays += [gather, index] + [owners for *_, owners, _ in stacks]
     assert stacks and not any(array.flags.writeable for array in arrays)
 
 
@@ -839,10 +843,6 @@ def test_transpose_spectra_keep_subsets_and_positions_per_pattern():
     rows = [state_spectra(m, subsets, [3, 3, 3]).transposes for m in (first, second)]
     info = oracle._plan.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 1, 64)
-    for m, spectra in zip((first, second), rows):
-        for subset, row in zip(subsets[1:], spectra[1:]):
-            dense = partial_transpose(m, subset, [3, 3, 3])
-            assert np.array_equal(row, hermitian_eigen(dense))
     _, keys, _ = oracle._hermitian_entries(first)
     plan = oracle._plan(keys.tobytes(), None, (3, 3, 3), tuple(map(tuple, subsets)), False, *_RULES)
     assert oracle._plan.cache_info().hits == 2
@@ -850,6 +850,11 @@ def test_transpose_spectra_keep_subsets_and_positions_per_pattern():
     valid, gather, _ = plan
     assert valid[0] == () and valid[1] == (1,)
     assert gather.size == len(subsets) * keys.size
+    # last, as hermitian_eigen reads plans of its own
+    for m, spectra in zip((first, second), rows):
+        for subset, row in zip(subsets[1:], spectra[1:]):
+            dense = partial_transpose(m, subset, [3, 3, 3])
+            assert np.array_equal(row, hermitian_eigen(dense))
 
 
 def test_transposed_positions_keep_the_last_64_patterns():
@@ -904,7 +909,7 @@ def test_jacobi_stacks_matrices_of_different_sides_bit_identically(sparse):
     sizes = tuple(keys.size for _, keys, _ in gathered)
     keys = np.concatenate([keys for _, keys, _ in gathered])
     entries = np.concatenate([entries for _, _, entries in gathered])
-    layout = oracle._block_layout(sides, sizes, keys.tobytes())
+    layout = oracle._block_layout(sides, sizes, keys)
     values = np.split(oracle._jacobi(layout, entries), np.cumsum(sides)[:-1])
     for m, row in zip(matrices, values):
         assert np.array_equal(row, hermitian_eigen(m))

@@ -1,5 +1,10 @@
-"""Property tests: the |m...m> index rule, verdicts at the tolerance
-boundary, and the identities every report must satisfy."""
+"""Property tests: the |m...m> index rule, verdicts near the tolerance
+boundary and at exact ties, and the identities every report must satisfy.
+
+The four separability votes agree within 1e-6 of ``tol`` for every N.  At
+a tie, |a_mn| = ``tol`` exactly, they agree when N is a power of two; for
+other N the Bloch vote reads |a_mn| back from (M R/2) a_mn, which can move
+it by an ulp, and only the other three are held to agree."""
 
 import json
 
@@ -96,6 +101,31 @@ def test_bloch_vote_agrees_at_the_tolerance_boundary(case):
         assert check_corollary2(bloch_decomposition(state, split), tol) == verdict
     votes = separability_votes(state, tol=tol, splits=range(1, state.parties))
     assert set(votes.values()) == {verdict}, votes
+
+
+def _tie_states(parties, dim, phases=300):
+    """States with |a_01| = 0.9/N at evenly spaced phases, each with tol = |a_01|
+    exactly, as ``SCState.moduli`` takes it."""
+    for phase in np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False):
+        a = np.diag(np.full(dim, 1.0 / dim)).astype(complex)
+        a[0, 1] = 0.9 / dim * np.exp(1j * phase)
+        a[1, 0] = np.conj(a[0, 1])
+        state = new_sc_state(parties, dim, a)
+        yield state, float(state.moduli[0, 1])
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 2), (3, 2), (4, 2), (2, 4)])
+def test_votes_agree_at_an_exact_tie_when_n_is_a_power_of_two(parties, dim):
+    for state, tol in _tie_states(parties, dim):
+        votes = separability_votes(state, tol=tol, splits=range(1, parties))
+        assert set(votes.values()) == {True}, votes
+
+
+@pytest.mark.parametrize("parties, dim", [(2, 3), (3, 3)])
+def test_realignment_vote_is_the_off_diagonal_one_at_an_exact_tie(parties, dim):
+    for state, tol in _tie_states(parties, dim):
+        votes = separability_votes(state, tol=tol, splits=range(1, parties))
+        assert votes["realignment"] == votes["off_diagonal"] == votes["pt_nonnegative"]
 
 
 sc_states = st.builds(

@@ -244,6 +244,18 @@ def test_bloch_residuals_catch_a_wrong_closed_form(monkeypatch, field, pick):
     assert np.isfinite(residual) and residual > tol
 
 
+def test_bloch_residuals_keep_a_nan_of_the_rebuilt_state(monkeypatch):
+    # the verdicts still agree; the rebuilt diagonal is NaN on every split
+    original = separability.bloch_decomposition
+
+    def nan_diagonal(state, split=1, **kwargs):
+        b = original(state, split, **kwargs)
+        return dataclasses.replace(b, t_first=np.full_like(b.t_first, np.nan))
+
+    monkeypatch.setattr(separability, "bloch_decomposition", nan_diagonal)
+    assert not np.isfinite(verify.bloch_residuals(random_sc_state(3, 3, 12), [1, 2]))
+
+
 @pytest.mark.parametrize("parties, dim", [(5, 3), (6, 3), (4, 4)])
 def test_bloch_residuals_build_no_generator_tensors(monkeypatch, parties, dim):
     def refuse(d):
@@ -516,6 +528,15 @@ def _lower_diagonal_weight(monkeypatch, weight):
         return dataclasses.replace(w, terms=terms)
 
     monkeypatch.setattr(separability, "build_witness", lowered)
+
+
+def test_witness_residuals_keep_a_nan_of_the_witness(monkeypatch):
+    # NaN diagonal terms lie off the state's support: the closed form reads
+    # none of them, the dense route and every sample read all of them
+    _lower_diagonal_weight(monkeypatch, np.nan)
+    state, rng = random_sc_state(3, 3, 1845), np.random.default_rng(0)
+    residual, worst = verify.witness_residuals(state, rng, 50)
+    assert np.isnan(residual) and np.isnan(worst)
 
 
 @pytest.mark.parametrize("weight", [0.45, 0.49, 0.499])
