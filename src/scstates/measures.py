@@ -99,98 +99,45 @@ class RoofResult(NamedTuple):
     converged: bool
 
 
-def roof_optimizer(
-    state: SCState,
-    restarts: int = 16,
-    seed=None,
-) -> RoofResult:
-    """Minimize the average pure concurrence over ensemble decompositions.
+def _cayley_descent(objective, c: np.ndarray):
+    """Minimize ``objective`` over the row-mixing unitaries of each ensemble.
 
-    With B the rank x N matrix of sqrt(eigenvalue)-scaled eigenvectors
-    (from ``state.spectrum``),
-    the rows of C = U B, for U any L x rank isometry, are an unnormalized
-    ensemble of a, and every ensemble of size L arises this way.  The
-    average concurrence is f(C) = sum_i w sqrt(S_i), with S_i =
-    sum_{m<n} |C_im C_in|^2 and w = 2 (the bipartite objective; the
-    k-party one is it times sqrt(k/2)).
-
-    Minimization is conjugate-gradient descent over the ensembles of size
-    L = 2 * rank, all starts batched in one (starts, L, N) tensor.  A step
-    mixes rows by the Cayley transform C <- (I + tX/2)^-1 (I - tX/2) C,
-    which is exactly unitary (Wen & Yin, Math. Program. 142, 397 (2013)).
-    The gradient generator is K = A - A^dagger, with A = G C^dagger and G
-    the Euclidean gradient (w / sqrt(S_i)) (P_i - p_im) C_im (p = |C|^2,
-    P_i its row sums; 0 where S_i = 0); K U is the Riemannian gradient of
-    U under the canonical metric (Edelman, Arias & Smith, SIAM J. Matrix
-    Anal. Appl. 20, 303 (1998)).  X is D K D, D = diag(sqrt(S_i) / P_i),
-    which slows rows near a product state (a kink of sqrt that plain
-    gradient steps zig-zag across), plus a Polak-Ribiere share of the
-    previous X while that stays a descent direction.  Each start's step t
-    halves when a step fails the Armijo test and doubles when it passes;
-    once f no longer resolves the decrease, a step must lower the
-    gradient instead.  f is smoothed to
-    sum_i w (sqrt(S_i + (delta P_i)^2) - delta P_i), within w * delta of
-    f and free of kinks, with delta stepping through ``ROOF_SMOOTHING``
-    down to 0.  A stage ends when each
-    start's row-weighted gradient norm is at most max(delta,
-    ``ROOF_GRAD_TOL``), or after ``ROOF_MAX_STEPS`` steps.  There are
-    ``restarts`` * (rank + 1) starts, all of size 2 * rank: the spectral
-    ensemble (padded with zero rows), then QR-orthonormalized Ginibre
-    draws.
-
-    Returns the best value, a trace of (iteration, best value)
-    improvements of f, and whether every start ended the last stage
-    below ``ROOF_GRAD_TOL``.  Non-convergence is not an error; the best
-    value found still upper bounds the true convex roof.
+    ``objective(c, delta)`` gives each start of a (starts, L, N) batch c its
+    f at smoothing width delta, Euclidean gradient G and row preconditioner
+    D, (starts, L).  A step is the Cayley transform C <- (I + tX/2)^-1 (I -
+    tX/2) C (Wen & Yin, Math. Program. 142, 397 (2013)), exactly unitary.  X
+    is D K D, K = A - A^dagger with A = G C^dagger (K U is the Riemannian
+    gradient: Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303
+    (1998)), plus a Polak-Ribiere share of the last X while that stays a
+    descent direction.  t halves on a failed Armijo test, doubles on a
+    pass; once f no longer resolves the decrease, a step must lower the
+    gradient instead.  delta runs through ``ROOF_SMOOTHING``, each stage
+    ending when every rate <K, D K D> / 2 is at most max(delta,
+    ``ROOF_GRAD_TOL``)^2 or after ``ROOF_MAX_STEPS`` steps.  Returns c,
+    ``roof_optimizer``'s trace and whether every start ended below
+    ``ROOF_GRAD_TOL``.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    a = state.a
-    weight = 2.0
-    vals, vecs = state.spectrum
-    rank = state.rank  # the eigenvalues above RANK_TOL are the last ``rank``
-    if rank == 0:
-        raise ValueError("coefficient matrix has no spectral weight")
-    b = (vecs[:, -rank:] * np.sqrt(vals[-rank:])).T  # rank x N, rows sum back to a
-    size = 2 * rank
-    eye = np.eye(size)
-
-    def descent(c, delta):
-        """Smoothed f, generators K and D K D, and the rate <K, D K D> / 2."""
-        p = np.abs(c) ** 2
-        rows = p.sum(axis=-1)
-        s = np.maximum(0.5 * (rows**2 - (p**2).sum(axis=-1)), 0.0)
-        root = np.sqrt(s + (delta * rows) ** 2)
-        scale = np.divide(weight, root, out=np.zeros_like(root), where=root > 0)
-        radial = scale * (1.0 + 2.0 * delta**2) * rows - 2.0 * weight * delta
-        grad = (radial[..., None] - scale[..., None] * p) * c
-        k = grad @ c.conj().swapaxes(-1, -2)
-        k = k - k.conj().swapaxes(-1, -2)
-        pre = np.divide(root, rows, out=np.zeros_like(root), where=rows > 0)
-        gen = pre[..., :, None] * k * pre[..., None, :]
-        return weight * (root - delta * rows).sum(axis=-1), k, gen, inner(k, gen)
+    eye = np.eye(c.shape[-2])
 
     def inner(x, y):
         return 0.5 * (x.conj() * y).real.sum(axis=(-2, -1))
 
-    starts = restarts * (rank + 1)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((starts - 1, size, rank)) + 1j * rng.standard_normal(
-        (starts - 1, size, rank)
-    )
-    c = np.concatenate([np.eye(size, rank)[None], np.linalg.qr(g)[0]]) @ b
-    it = 0
-    best = float(descent(c, 0.0)[0].min())
-    trace = [(0, best)]
+    def descent(c, delta):
+        """f, generators K and D K D, and the rate <K, D K D> / 2."""
+        f, grad, pre = objective(c, delta)
+        k = grad @ c.conj().swapaxes(-1, -2)
+        k = k - k.conj().swapaxes(-1, -2)
+        gen = pre[..., :, None] * k * pre[..., None, :]
+        return f, k, gen, inner(k, gen)
 
+    it, trace = 0, [(0, float(objective(c, 0.0)[0].min()))]
     for delta in ROOF_SMOOTHING:
         f, k, gen, rate = descent(c, delta)
         d = gen.copy()
-        step = np.ones(starts)
+        step = np.ones(c.shape[0])
         for n in range(ROOF_MAX_STEPS + 1):
-            if delta == 0.0 and f.min() < best - 1e-14:
-                best = float(f.min())
-                trace.append((it, best))
+            if delta == 0.0 and f.min() < trace[-1][1] - 1e-14:
+                trace.append((it, float(f.min())))
             (act,) = np.nonzero(rate > max(delta, ROOF_GRAD_TOL) ** 2)
             if n == ROOF_MAX_STEPS or not act.size:
                 break
@@ -214,13 +161,66 @@ def roof_optimizer(
             d[i] = gen_new[ok] + beta[ok, None, None] * da[ok]
             step[act] = np.where(ok, 2.0 * t, 0.5 * t)
             it += 1
+    return c, tuple(trace), bool((rate <= ROOF_GRAD_TOL**2).all())
+
+
+def roof_optimizer(
+    state: SCState,
+    restarts: int = 16,
+    seed=None,
+) -> RoofResult:
+    """Minimize the average pure concurrence over ensemble decompositions.
+
+    With B the rank x N matrix of sqrt(eigenvalue)-scaled eigenvectors
+    (``state.spectrum``), the rows of C = U B, U any L x rank isometry, are
+    an unnormalized ensemble of a, and every ensemble of size L arises so.
+    ``_cayley_descent`` minimizes their average concurrence f(C) = sum_i w
+    sqrt(S_i), S_i = sum_{m<n} |C_im C_in|^2, w = 2 (times sqrt(k/2) for k
+    parties), with gradient (w / sqrt(S_i)) (P_i - p_im) C_im (p = |C|^2, P_i
+    its row sums; 0 at S_i = 0) and D = diag(sqrt(S_i) / P_i) to slow rows
+    near the kink of sqrt at a product state.  Stage delta smooths f to sum_i
+    w (sqrt(S_i + (delta P_i)^2) - delta P_i), within w delta of f.  Starts:
+    ``restarts`` (an integer >= 1) * (rank + 1) of size L = 2 rank, the
+    spectral ensemble (zero-padded) then QR-orthonormalized Ginibre draws.
+    Returns the best f; its trace, (0, best starting f) then, only in the
+    last, unsmoothed stage, (iteration, f) each time the best f of all
+    starts falls over 1e-14 below the last entry, iteration counting the
+    batched steps, taken or refused, of every stage; and whether every start
+    ended below ``ROOF_GRAD_TOL`` (if not, f still upper bounds the roof).
+    """
+    if not (restarts >= 1 and restarts % 1 == 0):  # NaN and inf fail too
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts}")
+    weight = 2.0
+    vals, vecs = state.spectrum
+    rank = state.rank  # the eigenvalues above RANK_TOL are the last ``rank``
+    if rank == 0:
+        raise ValueError("coefficient matrix has no spectral weight")
+    b = (vecs[:, -rank:] * np.sqrt(vals[-rank:])).T  # rank x N, rows sum back to a
+
+    def objective(c, delta):
+        """Smoothed f, its Euclidean gradient, and D's diagonal."""
+        p = np.abs(c) ** 2
+        rows = p.sum(axis=-1)
+        s = np.maximum(0.5 * (rows**2 - (p**2).sum(axis=-1)), 0.0)
+        root = np.sqrt(s + (delta * rows) ** 2)
+        scale = np.divide(weight, root, out=np.zeros_like(root), where=root > 0)
+        radial = scale * (1.0 + 2.0 * delta**2) * rows - 2.0 * weight * delta
+        grad = (radial[..., None] - scale[..., None] * p) * c
+        pre = np.divide(root, rows, out=np.zeros_like(root), where=rows > 0)
+        return weight * (root - delta * rows).sum(axis=-1), grad, pre
+
+    starts = int(restarts) * (rank + 1)
+    rng = np.random.default_rng(seed)
+    shape = (starts - 1, 2 * rank, rank)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = np.concatenate([np.eye(2 * rank, rank)[None], np.linalg.qr(g)[0]]) @ b
+    c, trace, converged = _cayley_descent(objective, c)
 
     # guard against drift: the rows must still reconstruct the coefficients
-    resid = np.abs(c.swapaxes(-1, -2) @ c.conj() - a).max()
+    resid = np.abs(c.swapaxes(-1, -2) @ c.conj() - state.a).max()
     if resid > 1e-9:
         raise RuntimeError(f"ensemble decomposition drifted (residual {resid:.3e})")
-    converged = bool((rate <= ROOF_GRAD_TOL**2).all())
-    return RoofResult(value=best, trace=tuple(trace), converged=converged)
+    return RoofResult(value=trace[-1][1], trace=trace, converged=converged)
 
 
 def _rank_one_plus_diagonal(a: np.ndarray, off: np.ndarray) -> bool:

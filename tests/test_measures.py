@@ -301,6 +301,16 @@ def test_roof_optimizer_diagonal_is_zero():
     assert res.value <= 1e-12
 
 
+def test_roof_optimizer_trace_records_improvements_of_the_returned_value():
+    for parties, dim, seed in ((2, 3, 101), (3, 3, 102), (2, 4, 103), (3, 4, 104)):
+        res = roof_optimizer(random_sc_state(parties, dim, seed), restarts=2, seed=1)
+        steps, values = zip(*res.trace)
+        assert steps[0] == 0
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] == res.value
+
+
 def test_roof_optimizer_seed_determinism():
     st = random_sc_state(2, 3, 204)
     r1 = roof_optimizer(st, restarts=3, seed=42)
@@ -309,9 +319,10 @@ def test_roof_optimizer_seed_determinism():
     assert r1.trace == r2.trace
 
 
-def test_roof_optimizer_rejects_zero_restarts():
-    with pytest.raises(ValueError, match="restarts must be >= 1"):
-        roof_optimizer(random_sc_state(2, 3, 204), restarts=0)
+@pytest.mark.parametrize("restarts", [0, -1, 2.5])
+def test_roof_optimizer_rejects_zero_restarts(restarts):
+    with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
+        roof_optimizer(random_sc_state(2, 3, 204), restarts=restarts)
 
 
 def test_optimal_separable():
